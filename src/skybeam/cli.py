@@ -22,11 +22,7 @@ from .field import (ObservationGrid, evaluate_field_fast, focus_command,
                     spot_report)
 from .mission import (FarmNetwork, cruise_power, mission_summary,
                       simulate_mission)
-from .scenario import Scenario, parse_scenario
-
-# beam-map guard: a full-scale farm aperture at half-wavelength pitch holds
-# ~3e8 elements and is not a desk-scale map evaluation
-MAX_MAP_ELEMENTS = 20e6
+from .scenario import MAX_MAP_ELEMENTS, Scenario, parse_scenario
 
 
 def _fmt(value) -> str:

@@ -54,7 +54,7 @@ class FarmNetwork:
             caps = np.full(sites.shape[0], float(caps))
         if caps.shape != (sites.shape[0],):
             raise InvalidArgumentError("input_caps must match the number of sites")
-        if np.any(caps < 0.0):
+        if not np.all(caps >= 0.0):
             raise InvalidArgumentError("input caps must be non-negative")
         if not 0.0 < self.max_scan_deg < 90.0:
             raise InvalidArgumentError("max_scan_deg must be in (0, 90)")
@@ -255,10 +255,11 @@ def coverage_fraction(trace: MissionTrace, threshold: float = 0.95) -> float:
 
 
 def _sample_route(plan: FlightPlan):
-    """Step times, durations, positions and headings along the route.
+    """Step times, durations, positions, segment per step and segment headings.
 
     Each step covers `weights[k]` seconds; geometry is sampled at the step
     midpoint (halves the boundary error where coverage switches on or off).
+    Step k flies segment `seg_idx[k]`, whose xy heading is `headings[seg_idx[k]]`.
     """
     wps = plan.waypoints
     seg = np.diff(wps, axis=0)
@@ -275,28 +276,103 @@ def _sample_route(plan: FlightPlan):
     seg_idx = np.minimum(np.searchsorted(cum, dist, side="right") - 1, len(seg) - 1)
     frac = (dist - cum[seg_idx]) / seg_len[seg_idx]
     positions = wps[seg_idx] + frac[:, None] * seg[seg_idx]
-    headings = seg[seg_idx, :2]
-    return times, weights, positions, headings
+    return times, weights, positions, seg_idx, seg[:, :2]
+
+
+# Steps per array pass of simulate_mission. Fixed, so the (steps x farms)
+# temporaries stay bounded whatever the route length, and the result does not
+# depend on it.
+_BLOCK = 256
+
+# The array pass may round slant, scan and the panel cosines a few ulps away
+# from the scalar farm_visibility / best_panel. Pairs whose array value lies
+# within this band of a bound (relative for slant, degrees for scan, absolute
+# for the cosine) are decided again with the scalar calls.
+_BAND = 1e-9
+
+
+def _serve(site, position, network: FarmNetwork, panels, attitude):
+    """Visibility, panel and cosine of one farm-aircraft pair; None when it cannot serve."""
+    v = farm_visibility(site, position, network)
+    if not v.visible:
+        return None
+    beam = np.array([position[0] - site[0], position[1] - site[1], position[2]]) / v.slant_range
+    try:
+        panel, cos_inc = best_panel(panels, beam, attitude)
+    except NoVisiblePanelError:
+        return None
+    return v, panel, cos_inc
+
+
+def _choose_farms(positions, seg_idx, attitudes, world_normals, network: FarmNetwork,
+                  panels) -> np.ndarray:
+    """Farm per step with the largest input cap among the usable ones, or -1.
+
+    A pair is usable when the farm sees the aircraft within its slant and scan
+    limits and some panel faces the beam. Ties go to the lowest farm index,
+    as in assign_farms with a single aircraft.
+    """
+    if not network.n_farms:
+        return np.full(positions.shape[0], -1)
+    sites = network.sites
+    dx = positions[:, 0, None] - sites[None, :, 0]
+    dy = positions[:, 1, None] - sites[None, :, 1]
+    pz = positions[:, 2, None]
+    slant = np.sqrt(dx * dx + dy * dy + pz * pz)
+    scan = np.degrees(np.arccos(np.minimum(1.0, pz / slant)))
+    slant_lim = network.max_slant_range * (1.0 + 1e-12)
+    scan_lim = network.max_scan_deg + 1e-9
+    visible = (slant <= slant_lim) & (scan <= scan_lim)
+    # best incidence cosine -(R n) . b over the panels, with b = (dx, dy, pz) / slant
+    wn = world_normals[seg_idx]                                   # (steps, 3, panels)
+    facing = -(dx[..., None] * wn[:, None, 0] + dy[..., None] * wn[:, None, 1]
+               + pz[..., None] * wn[:, None, 2])
+    cosine = facing.max(axis=-1) / slant
+    usable = visible & (cosine > 0.0)
+
+    near = ((np.abs(slant - slant_lim) <= _BAND * slant_lim)
+            | (np.abs(scan - scan_lim) <= _BAND)
+            | (visible & (np.abs(cosine) <= _BAND)))
+    for k, j in zip(*np.nonzero(near)):
+        usable[k, j] = _serve(sites[j], positions[k], network, panels,
+                              attitudes[seg_idx[k]]) is not None
+
+    choice = np.where(usable, network.input_caps, -1.0).argmax(axis=1)
+    choice[~usable.any(axis=1)] = -1
+    return choice
 
 
 def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
                      chain: EfficiencyChain, integrate_mass: bool = False) -> MissionTrace:
-    """Fly the plan, beaming power from the nearest-capacity visible farm.
+    """Fly the plan, beaming power from the largest-cap usable farm.
 
-    Each step: required power is the cruise power at the current mass; every
-    visible farm is scored with the chain's incidence stage replaced by the
-    best-panel cosine for its beam direction; the greedy assigner picks the
-    farm; the residual comes from fuel at a burn rate calibrated so the
+    Each step: required power is the cruise power at the current mass. A farm
+    is usable when it sees the aircraft within its slant and scan limits and
+    some panel faces the beam; the step is served by the usable farm with the
+    largest input cap (lowest index on ties), through the chain with its
+    incidence stage replaced by that farm's best-panel cosine, drawing at most
+    the cap. The residual comes from fuel at a burn rate calibrated so the
     fuel-only case reproduces the aircraft's reference burn at reference
     cruise power. With integrate_mass the burned fuel reduces mass (and thus
     required power) as the flight proceeds.
+
+    The farm choice is made by array passes over blocks of steps x farms;
+    pairs on a visibility or shadow bound, and the reported geometry of each
+    served step, come from the scalar farm_visibility and best_panel.
     """
-    times, weights, positions, headings = _sample_route(plan)
+    times, weights, positions, seg_idx, headings = _sample_route(plan)
     n = times.shape[0]
 
     p_ref = cruise_power(aircraft)
     burn_ref = aircraft.fuel_burn_reference / 3600.0            # kg/s
     fuel_chain_eff = p_ref / (JET_FUEL_SPECIFIC_ENERGY * burn_ref)
+
+    # the heading, and so the attitude, is constant along a segment
+    attitudes = {int(s): level_attitude(headings[s]) for s in np.unique(seg_idx)}
+    normals = np.column_stack([p.normal for p in aircraft.panels])
+    world_normals = np.zeros((headings.shape[0], 3, normals.shape[1]))
+    for s, rot in attitudes.items():
+        world_normals[s] = rot @ normals
 
     farm_index = np.full(n, -1, dtype=int)
     slant = np.full(n, math.nan)
@@ -311,41 +387,31 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
 
     m = aircraft.mass
     burned = 0.0
-    for k in range(n):
-        mass[k] = m
-        required[k] = cruise_power(aircraft, m)
-        attitude = level_attitude(headings[k])
-        vis_farms: list[int] = []
-        effs: list[float] = []
-        info: dict[int, tuple[float, float, str, float]] = {}
-        for j in range(network.n_farms):
-            v = farm_visibility(network.sites[j], positions[k], network)
-            if not v.visible:
-                continue
-            beam = np.array([positions[k][0] - network.sites[j][0],
-                             positions[k][1] - network.sites[j][1],
-                             positions[k][2]]) / v.slant_range
-            try:
-                panel, cos_inc = best_panel(aircraft.panels, beam, attitude)
-            except NoVisiblePanelError:
-                continue
-            vis_farms.append(j)
-            effs.append(chain.with_incidence(cos_inc).end_to_end)
-            info[j] = (v.slant_range, v.scan_deg, panel.label, cos_inc)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        choice = _choose_farms(positions[start:stop], seg_idx[start:stop], attitudes,
+                               world_normals, network, aircraft.panels)
+        for k in range(start, stop):
+            mass[k] = m
+            required[k] = need = cruise_power(aircraft, m)
+            j = int(choice[k - start])
+            if j >= 0 and need > 0.0 and network.input_caps[j] > 0.0:
+                # the array pass only picks pairs the scalar calls accept
+                v, panel, cos_inc = _serve(network.sites[j], positions[k], network,
+                                           aircraft.panels, attitudes[seg_idx[k]])
+                eff = chain.with_incidence(cos_inc).end_to_end
+                if eff > 0.0:
+                    delivered[k] = min(network.input_caps[j], need / eff) * eff
+                    farm_index[k] = j
+                    slant[k], scan[k], panel_lbl[k], cosine[k] = (
+                        v.slant_range, v.scan_deg, panel.label, cos_inc)
 
-        res = assign_farms([required[k]], [vis_farms], [effs], network.input_caps)
-        delivered[k] = res.delivered_w[0]
-        if res.farm_index[0] >= 0:
-            j = int(res.farm_index[0])
-            farm_index[k] = j
-            slant[k], scan[k], panel_lbl[k], cosine[k] = info[j]
-
-        residual = required[k] - delivered[k]
-        fuel_rate[k] = residual / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
-        burned += fuel_rate[k] * weights[k]
-        fuel[k] = burned
-        if integrate_mass:
-            m = aircraft.mass - burned
+            residual = required[k] - delivered[k]
+            fuel_rate[k] = residual / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
+            burned += fuel_rate[k] * weights[k]
+            fuel[k] = burned
+            if integrate_mass:
+                m = aircraft.mass - burned
 
     return MissionTrace(times, weights, positions, farm_index, slant, scan,
                         panel_lbl, cosine, required, delivered, fuel_rate, fuel,

@@ -8,6 +8,7 @@ field as `section.key` and surface as ScenarioValidationError (CLI exit 4).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,15 @@ from .mission import Aircraft, FarmNetwork, FlightPlan
 
 _SECTIONS = ("rf", "array", "beam", "chain", "aircraft", "network", "plan",
              "cost", "safety", "econ", "output")
+
+# beam-map guard: a full-scale farm aperture at half-wavelength pitch holds
+# ~3e8 elements and is not a desk-scale map evaluation
+MAX_MAP_ELEMENTS = 20e6
+
+# Mission step guard, checked before any per-step array is allocated: a
+# day-long flight (86 400 s) at a 0.1 s timestep is 864k steps, and each step
+# costs ~100 bytes of trace plus one CSV row.
+MAX_MISSION_STEPS = 1_000_000
 
 # Default farm row: one site every 31.6 km along a 500 km corridor.
 _FARM_ROW_SPACING = 31_600.0
@@ -66,6 +76,23 @@ def _reject_unknown(section: dict, path: str, known) -> None:
             raise ScenarioValidationError(f"{path}.{key}", "unknown field")
 
 
+def _finite(value, path: str) -> float:
+    """A JSON number as a finite float.
+
+    json.loads accepts NaN, Infinity and -Infinity, and reads literals beyond
+    the float range (1e999) as infinities; none of them is a valid quantity.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioValidationError(path, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioValidationError(path, "must be finite")
+    return number
+
+
 def _number(section: dict, path: str, key: str, *, default=None,
             allow_none: bool = False):
     value = section.get(key, default)
@@ -73,9 +100,7 @@ def _number(section: dict, path: str, key: str, *, default=None,
         if allow_none:
             return None
         raise ScenarioValidationError(f"{path}.{key}", "is required")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}.{key}", "must be a number")
-    return float(value)
+    return _finite(value, f"{path}.{key}")
 
 
 def _integer(section: dict, path: str, key: str, *, default=None) -> int:
@@ -101,11 +126,10 @@ def _fraction(value: float, path: str, *, closed_low: bool = False):
 
 def _vector(section: dict, path: str, key: str, length: int, default=None):
     value = section.get(key, default)
-    if (not isinstance(value, (list, tuple)) or len(value) != length
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioValidationError(f"{path}.{key}",
                                       f"must be a list of {length} numbers")
-    return [float(v) for v in value]
+    return [_finite(v, f"{path}.{key}") for v in value]
 
 
 @dataclass(frozen=True)
@@ -255,17 +279,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioValidationError("network.farms", "must be a list of [x, y] pairs")
     sites = []
     for idx, site in enumerate(farms_raw):
-        if (not isinstance(site, (list, tuple)) or len(site) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in site)):
+        if not isinstance(site, (list, tuple)) or len(site) != 2:
             raise ScenarioValidationError(f"network.farms[{idx}]",
                                           "must be a pair of numbers")
-        sites.append([float(site[0]), float(site[1])])
+        sites.append([_finite(v, f"network.farms[{idx}]") for v in site])
     cap_raw = sec.get("input_cap", d["input_cap"])
     if isinstance(cap_raw, (list, tuple)):
         if len(cap_raw) != len(sites):
             raise ScenarioValidationError("network.input_cap",
                                           "list length must match farms")
-        caps = [float(c) for c in cap_raw]
+        caps = [_finite(c, f"network.input_cap[{idx}]") for idx, c in enumerate(cap_raw)]
         if any(c < 0 for c in caps):
             raise ScenarioValidationError("network.input_cap", "must be non-negative")
     else:
@@ -290,17 +313,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioValidationError("plan.waypoints", "need at least 2 waypoints")
     wps = []
     for idx, wp in enumerate(wps_raw):
-        if (not isinstance(wp, (list, tuple)) or len(wp) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in wp)):
+        if not isinstance(wp, (list, tuple)) or len(wp) != 3:
             raise ScenarioValidationError(f"plan.waypoints[{idx}]",
                                           "must be [x, y, altitude] numbers")
+        wp = [_finite(v, f"plan.waypoints[{idx}]") for v in wp]
         if wp[2] <= 0.0:
             raise ScenarioValidationError(f"plan.waypoints[{idx}]",
                                           "altitude must be positive")
-        wps.append([float(v) for v in wp])
+        wps.append(wp)
     plan_speed = _positive(_number(sec, "plan", "speed", default=d["speed"]), "plan.speed")
     dt = _positive(_number(sec, "plan", "timestep", default=d["timestep"]), "plan.timestep")
     plan = FlightPlan(np.asarray(wps, dtype=float), plan_speed, dt)
+    steps = plan.duration / dt
+    if steps > MAX_MISSION_STEPS:
+        raise ScenarioValidationError(
+            "plan.timestep", f"gives {steps:.3g} mission steps over the route "
+            f"(limit {MAX_MISSION_STEPS}); use a longer timestep")
 
     sec = merged["cost"]
     _reject_unknown(sec, "cost", set(DEFAULTS["cost"]))
@@ -343,11 +371,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioValidationError("econ.coverage_fraction", "must not be empty")
     econ_cov = []
     for idx, v in enumerate(cov_list):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioValidationError(f"econ.coverage_fraction[{idx}]",
-                                          "must be a number")
-        econ_cov.append(_fraction(float(v), f"econ.coverage_fraction[{idx}]",
-                                  closed_low=True))
+        path = f"econ.coverage_fraction[{idx}]"
+        econ_cov.append(_fraction(_finite(v, path), path, closed_low=True))
     econ_farm = _positive(_number(sec, "econ", "farm_area_km2",
                                   default=d["farm_area_km2"]),
                           "econ.farm_area_km2")

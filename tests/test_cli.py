@@ -136,6 +136,20 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "aircraft.mass" in err
 
 
+@pytest.mark.parametrize("text, field_path", [
+    ('{"beam": {"input_power": Infinity}}', "beam.input_power"),
+    ('{"safety": {"farm_area": NaN}}', "safety.farm_area"),
+    ('{"plan": {"timestep": 1e-9}}', "plan.timestep"),
+])
+def test_exit_code_non_finite_and_step_cap(tmp_path, capsys, text, field_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "coverage", "--scenario", str(bad), "--out", str(tmp_path))
+    assert code == 4
+    assert field_path in err
+    assert not (tmp_path / "mission_trace.csv").exists()
+
+
 def test_reports_are_deterministic(capsys):
     outputs = []
     for _ in range(2):

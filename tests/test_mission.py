@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import skybeam as sb
-from skybeam.errors import InvalidArgumentError
+from skybeam import mission
+from skybeam.errors import InvalidArgumentError, NoVisiblePanelError
 
 
 def a320() -> sb.Aircraft:
@@ -282,3 +283,220 @@ def test_plan_validation():
         sb.FlightPlan(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 10.0]]), 250.0)
     with pytest.raises(InvalidArgumentError):
         sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [1.0, 0.0, 10.0]]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar mission loop that simulate_mission must match bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_mission(plan, aircraft, network, chain, integrate_mass=False):
+    """Every step x farm pair through farm_visibility and best_panel, then one
+    single-aircraft assign_farms call per step."""
+    times, weights, positions, seg_idx, seg_headings = mission._sample_route(plan)
+    headings = seg_headings[seg_idx]
+    n = times.shape[0]
+
+    p_ref = sb.cruise_power(aircraft)
+    burn_ref = aircraft.fuel_burn_reference / 3600.0
+    fuel_chain_eff = p_ref / (sb.JET_FUEL_SPECIFIC_ENERGY * burn_ref)
+
+    farm_index = np.full(n, -1, dtype=int)
+    slant = np.full(n, math.nan)
+    scan = np.full(n, math.nan)
+    panel_lbl = ["-"] * n
+    cosine = np.full(n, math.nan)
+    required = np.zeros(n)
+    delivered = np.zeros(n)
+    fuel_rate = np.zeros(n)
+    fuel = np.zeros(n)
+    mass = np.zeros(n)
+
+    m = aircraft.mass
+    burned = 0.0
+    for k in range(n):
+        mass[k] = m
+        required[k] = sb.cruise_power(aircraft, m)
+        attitude = sb.level_attitude(headings[k])
+        vis_farms, effs, info = [], [], {}
+        for j in range(network.n_farms):
+            v = sb.farm_visibility(network.sites[j], positions[k], network)
+            if not v.visible:
+                continue
+            beam = np.array([positions[k][0] - network.sites[j][0],
+                             positions[k][1] - network.sites[j][1],
+                             positions[k][2]]) / v.slant_range
+            try:
+                panel, cos_inc = sb.best_panel(aircraft.panels, beam, attitude)
+            except NoVisiblePanelError:
+                continue
+            vis_farms.append(j)
+            effs.append(chain.with_incidence(cos_inc).end_to_end)
+            info[j] = (v.slant_range, v.scan_deg, panel.label, cos_inc)
+
+        res = sb.assign_farms([required[k]], [vis_farms], [effs], network.input_caps)
+        delivered[k] = res.delivered_w[0]
+        if res.farm_index[0] >= 0:
+            j = int(res.farm_index[0])
+            farm_index[k] = j
+            slant[k], scan[k], panel_lbl[k], cosine[k] = info[j]
+
+        residual = required[k] - delivered[k]
+        fuel_rate[k] = residual / (sb.JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
+        burned += fuel_rate[k] * weights[k]
+        fuel[k] = burned
+        if integrate_mass:
+            m = aircraft.mass - burned
+
+    return sb.MissionTrace(times, weights, positions, farm_index, slant, scan,
+                           panel_lbl, cosine, required, delivered, fuel_rate, fuel,
+                           mass, fuel_chain_eff, p_ref)
+
+
+_TRACE_ARRAYS = ("times", "weights", "positions", "farm_index", "slant_m", "scan_deg",
+                 "cosine", "required_w", "delivered_w", "fuel_rate_kg_s", "fuel_kg",
+                 "mass_kg")
+
+
+def _random_case(seed):
+    """Turning route over a scattered network; caps sometimes tied."""
+    rng = np.random.default_rng(seed)
+    n_wp = int(rng.integers(2, 6))
+    angles = rng.uniform(0.0, 2.0 * math.pi, n_wp - 1)
+    legs = rng.uniform(10e3, 50e3, n_wp - 1)
+    xy = np.vstack([[0.0, 0.0], np.cumsum(np.column_stack([legs * np.cos(angles),
+                                                            legs * np.sin(angles)]), axis=0)])
+    wps = np.column_stack([xy, rng.uniform(8e3, 12e3, n_wp)])
+    plan = sb.FlightPlan(wps, float(rng.uniform(200.0, 260.0)), float(rng.uniform(5.0, 30.0)))
+    n_farm = int(rng.integers(0, 40))
+    lo, hi = xy.min(axis=0) - 20e3, xy.max(axis=0) + 20e3
+    sites = rng.uniform(lo, hi, (n_farm, 2))
+    caps = (rng.choice([5e7, 1e8], n_farm) if rng.random() < 0.4
+            else rng.uniform(1e7, 1.5e8, n_farm))
+    network = sb.FarmNetwork(sites, caps, float(rng.uniform(35.0, 75.0)),
+                             float(rng.uniform(12e3, 25e3)))
+    aircraft = sb.Aircraft(float(rng.uniform(30e3, 80e3)), float(rng.uniform(14.0, 20.0)),
+                           float(rng.uniform(0.5, 0.8)), 250.0, float(rng.uniform(1500.0, 3500.0)))
+    chain = sb.EfficiencyChain(*(float(v) for v in rng.uniform(0.3, 1.0, 4)))
+    return plan, aircraft, network, chain
+
+
+def _panel_aircraft(normal):
+    panel = sb.ReceiverPanel("side", np.asarray(normal, dtype=float), 10.0, 0.85)
+    return sb.Aircraft(50_000.0, 18.0, 0.6, 250.0, 2400.0, [panel])
+
+
+def _panel_case(normal):
+    """Farms left, right and directly under the route, seen by one custom panel."""
+    sites = np.array([[10_000.0, 6_000.0], [25_000.0, 0.0], [40_000.0, -6_000.0]])
+    return (_straight_plan(length_m=50_000.0), _panel_aircraft(normal),
+            _network(sites, scan=60.0), default_chain())
+
+
+def _edge_on_case():
+    """A side panel edge-on to farms on the ground track of a (3, 4) heading:
+    every cosine is 0 up to rounding, whose sign the array pass and the scalar
+    best_panel may get differently."""
+    wps = np.array([[0.0, 0.0, 10_000.0], [18_000.0, 24_000.0, 10_000.0]])
+    plan = sb.FlightPlan(wps, 250.0, 10.0)
+    _, _, positions, _, _ = mission._sample_route(plan)
+    return (plan, _panel_aircraft([0.0, 1.0, 0.0]),
+            _network(positions[::3, :2], scan=60.0), default_chain())
+
+
+def _caps_case(caps):
+    sites = np.array([[x, y] for x in (5_000.0, 20_000.0, 35_000.0) for y in (-4_000.0, 4_000.0)])
+    return _straight_plan(length_m=40_000.0), a320(), _network(sites, caps, scan=60.0), default_chain()
+
+
+def _baseline_case():
+    scn = sb.parse_scenario("a320_baseline")
+    return scn.plan, scn.aircraft, scn.network, scn.chain
+
+
+ORACLE_CASES = {
+    **{f"random{seed}": (lambda seed=seed: _random_case(seed)) for seed in range(12)},
+    "shadowed": lambda: _panel_case([0.0, 0.0, 1.0]),
+    "side_panel": lambda: _panel_case([0.0, 1.0, 0.0]),
+    "edge_on": _edge_on_case,
+    "zero_caps": lambda: _caps_case(0.0),
+    "some_zero_caps": lambda: _caps_case([0.0, 6e7, 0.0, 6e7, 0.0, 0.0]),
+    "equal_caps": lambda: _caps_case(6e7),
+    "a320_baseline": _baseline_case,
+}
+
+
+def _assert_bit_equal(got, want, tmp_path):
+    for name in _TRACE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.panel == want.panel
+    assert got.fuel_chain_efficiency == want.fuel_chain_efficiency
+    assert got.reference_power_w == want.reference_power_w
+    got.to_csv(tmp_path / "got.csv")
+    want.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+@pytest.mark.parametrize("integrate_mass", [False, True])
+def test_simulate_mission_matches_scalar_reference(case, integrate_mass, tmp_path):
+    plan, aircraft, network, chain = ORACLE_CASES[case]()
+    got = sb.simulate_mission(plan, aircraft, network, chain, integrate_mass)
+    want = reference_mission(plan, aircraft, network, chain, integrate_mass)
+    _assert_bit_equal(got, want, tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("case", ["random3", "random7", "edge_on", "a320_baseline"])
+def test_simulate_mission_independent_of_block_size(case, block, tmp_path, monkeypatch):
+    plan, aircraft, network, chain = ORACLE_CASES[case]()
+    want = reference_mission(plan, aircraft, network, chain)
+    monkeypatch.setattr(mission, "_BLOCK", block)
+    _assert_bit_equal(sb.simulate_mission(plan, aircraft, network, chain), want, tmp_path)
+
+
+def _limit_giving(target, limit_of, guess):
+    """Network limit whose padded value, as farm_visibility computes it, is `target`."""
+    m = guess
+    for _ in range(16):
+        got = limit_of(m)
+        if got == target:
+            return m
+        m = float(np.nextafter(m, math.inf if got < target else -math.inf))
+    raise AssertionError(f"no limit pads to {target!r}")
+
+
+@pytest.mark.parametrize("limit", ["slant", "scan"])
+def test_simulate_mission_on_exact_limits(limit, tmp_path):
+    # one step at x = 1250 m; each farm offset puts the padded limit exactly on,
+    # or one ulp under, the scalar slant or scan of that step. The array pass
+    # rounds some of these differently and must defer to the scalar calls.
+    plan = _straight_plan(length_m=2_500.0)
+    served = set()
+    for offset in 12_000.0 + 0.731 * np.arange(48):
+        site = np.array([[1_250.0 + 0.37 * offset, offset]])
+        v = sb.farm_visibility(site[0], [1_250.0, 0.0, 10_000.0], _network(site))
+        value = v.slant_range if limit == "slant" else v.scan_deg
+        for target in (value, float(np.nextafter(value, -math.inf))):
+            if limit == "slant":
+                net = sb.FarmNetwork(site, 100e6, 89.0, _limit_giving(
+                    target, lambda m: m * (1.0 + 1e-12), target / (1.0 + 1e-12)))
+            else:
+                net = sb.FarmNetwork(site, 100e6, _limit_giving(
+                    target, lambda m: m + 1e-9, target - 1e-9), 50_000.0)
+            got = sb.simulate_mission(plan, a320(), net, default_chain())
+            _assert_bit_equal(got, reference_mission(plan, a320(), net, default_chain()),
+                              tmp_path)
+            served.add(int(got.farm_index[0]))
+    assert served == {-1, 0}
+
+
+def test_oracle_cases_exercise_every_branch():
+    traces = {name: sb.simulate_mission(*build()) for name, build in ORACLE_CASES.items()}
+    assert all((traces[c].farm_index == -1).all() for c in ("shadowed", "zero_caps"))
+    side = traces["side_panel"].farm_index
+    # the farm under the route is edge-on to the side panel: cosine 0, never served
+    assert (side >= 0).any() and not (side == 1).any()
+    served = np.concatenate([t.farm_index for t in traces.values()])
+    assert (served >= 0).sum() > 100 and (served == -1).sum() > 100

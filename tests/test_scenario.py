@@ -5,9 +5,10 @@ import json
 import pytest
 
 import skybeam as sb
+from skybeam import mission
 from skybeam.errors import (ScenarioFileError, ScenarioParseError,
                             ScenarioValidationError)
-from skybeam.scenario import resolve_scenario_path
+from skybeam.scenario import MAX_MISSION_STEPS, resolve_scenario_path
 
 
 def write(tmp_path, data):
@@ -134,3 +135,36 @@ def test_radiated_power_uses_dc_to_rf(tmp_path):
     scn = sb.parse_scenario(write(tmp_path, {}))
     assert scn.radiated_power() == pytest.approx(
         scn.beam_input_power * scn.chain.dc_to_rf, rel=1e-12)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("section, body, field_path", [
+    ("aircraft", '{"mass": %s}', "aircraft.mass"),
+    ("beam", '{"target": [0, 0, %s]}', "beam.target"),
+    ("network", '{"farms": [[0, 0], [1, %s]]}', "network.farms[1]"),
+    ("network", '{"farms": [[0, 0], [1, 0]], "input_cap": [1e6, %s]}', "network.input_cap[1]"),
+    ("plan", '{"waypoints": [[0, 0, 1e4], [%s, 0, 1e4]]}', "plan.waypoints[1]"),
+    ("econ", '{"coverage_fraction": [0.1, %s]}', "econ.coverage_fraction[1]"),
+])
+def test_non_finite_numbers_rejected(tmp_path, literal, section, body, field_path):
+    # json.loads reads these as nan / inf; they must not reach the reports
+    path = tmp_path / "scenario.json"
+    path.write_text('{"%s": %s}' % (section, body % literal), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.parse_scenario(path)
+    assert err.value.field_path == field_path
+
+
+def test_mission_step_cap_rejects_before_sampling(tmp_path, monkeypatch):
+    def refuse(plan):
+        raise AssertionError("route sampled before the step cap was checked")
+
+    monkeypatch.setattr(mission, "_sample_route", refuse)
+    # the default 500 km route at 250 m/s lasts 2000 s
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-9}}))
+    assert err.value.field_path == "plan.timestep"
+    with pytest.raises(ScenarioValidationError):
+        sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-320}}))
+    scn = sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 2000.0 / MAX_MISSION_STEPS}}))
+    assert scn.plan.duration / scn.plan.timestep == pytest.approx(MAX_MISSION_STEPS)

@@ -406,7 +406,8 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
                     slant[k], scan[k], panel_lbl[k], cosine[k] = (
                         v.slant_range, v.scan_deg, panel.label, cos_inc)
 
-            residual = required[k] - delivered[k]
+            # a fully served step leaves required - delivered at about -1 ulp
+            residual = max(required[k] - delivered[k], 0.0)
             fuel_rate[k] = residual / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
             burned += fuel_rate[k] * weights[k]
             fuel[k] = burned

@@ -340,7 +340,7 @@ def reference_mission(plan, aircraft, network, chain, integrate_mass=False):
             farm_index[k] = j
             slant[k], scan[k], panel_lbl[k], cosine[k] = info[j]
 
-        residual = required[k] - delivered[k]
+        residual = max(required[k] - delivered[k], 0.0)
         fuel_rate[k] = residual / (sb.JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
         burned += fuel_rate[k] * weights[k]
         fuel[k] = burned
@@ -490,6 +490,16 @@ def test_simulate_mission_on_exact_limits(limit, tmp_path):
                               tmp_path)
             served.add(int(got.farm_index[0]))
     assert served == {-1, 0}
+
+
+def test_fully_served_steps_burn_no_fuel():
+    # delivered = min(cap, need / eff) * eff rounds to about need +- 1 ulp
+    for seed in range(6):
+        trace = sb.simulate_mission(*_random_case(seed))
+        assert np.all(trace.fuel_rate_kg_s >= 0.0)
+        assert np.all(np.diff(trace.fuel_kg) >= 0.0)
+        full = trace.delivered_w >= trace.required_w
+        assert np.all(trace.fuel_rate_kg_s[full] == 0.0)
 
 
 def test_oracle_cases_exercise_every_branch():

@@ -1,6 +1,7 @@
 """Scenario parsing, defaults, validation messages, bundled files."""
 
 import json
+import math
 
 import pytest
 
@@ -168,3 +169,118 @@ def test_mission_step_cap_rejects_before_sampling(tmp_path, monkeypatch):
         sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-320}}))
     scn = sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 2000.0 / MAX_MISSION_STEPS}}))
     assert scn.plan.duration / scn.plan.timestep == pytest.approx(MAX_MISSION_STEPS)
+
+
+TINY = math.ulp(0.0)        # smallest positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+# (field path, value just outside the bound, message, value on the inside
+# edge of the bound, other fields the inside value needs)
+BOUNDS = [
+    ("rf.frequency", 0.0, "must be positive", 1e-299,
+     {"array": {"spacing": 1.0}, "beam": {"target": [0, 0, 1e308]}}),
+    ("rf.wavelength", 0.0, "must be positive", 1e-299, {}),
+    ("array.aperture_diameter", 0.0, "must be positive", 1e-300,
+     {"array": {"spacing": 1e-310}}),
+    ("array.spacing", 0.0, "must be positive", TINY, {}),
+    ("array.spacing", 1000.0, "must be smaller than aperture_diameter",
+     math.nextafter(1000.0, 0.0), {}),
+    ("array.fill_fraction", 0.0, "must be in (0, 1]", TINY, {}),
+    ("array.fill_fraction", ABOVE_ONE, "must be in (0, 1]", 1.0, {}),
+    ("array.seed", 0.5, "must be an integer", 0, {}),
+    ("beam.target", [0.0, 0.0, 0.0], "altitude (third entry) must be positive",
+     [0.0, 0.0, 1.0], {}),
+    ("beam.input_power", 0.0, "must be positive", TINY, {}),
+    *[(f"chain.{key}", value, "must be in [0, 1]", inside, {})
+      for key in ("dc_to_rf", "beam_collection", "incidence_cosine", "rf_to_dc")
+      for value, inside in ((-TINY, 0.0), (ABOVE_ONE, 1.0))],
+    ("aircraft.mass", 0.0, "must be positive", TINY, {}),
+    ("aircraft.lift_to_drag", 1.0, "must exceed 1", ABOVE_ONE, {}),
+    ("aircraft.propulsive_efficiency", 0.0, "must be in (0, 1]", TINY, {}),
+    ("aircraft.propulsive_efficiency", ABOVE_ONE, "must be in (0, 1]", 1.0, {}),
+    ("aircraft.cruise_speed", 0.0, "must be positive", TINY, {}),
+    ("aircraft.fuel_burn_reference", 0.0, "must be positive", TINY, {}),
+    ("network.input_cap", -TINY, "must be non-negative", 0.0, {}),
+    ("network.max_scan_deg", 0.0, "must be in (0, 90)", TINY, {}),
+    ("network.max_scan_deg", 90.0, "must be in (0, 90)", math.nextafter(90.0, 0.0), {}),
+    ("network.max_slant_range", 0.0, "must be positive", TINY, {}),
+    ("plan.speed", 0.0, "must be positive", 1e-300,
+     {"plan": {"waypoints": [[0, 0, 1], [1, 0, 1]], "timestep": 1e300}}),
+    ("plan.timestep", 0.0, "must be positive", 2000.0 / MAX_MISSION_STEPS, {}),
+    ("cost.rf_uplift", -TINY, "must be non-negative", 0.0, {}),
+    ("cost.solar_lcoe", -TINY, "must be non-negative", 0.0, {}),
+    ("cost.panel_cost", -TINY, "must be non-negative", 0.0, {"cost": {"rf_uplift": 0.5}}),
+    ("cost.rf_added_cost", -TINY, "must be non-negative", 0.0, {}),
+    ("cost.fuel_cost_per_hour", -TINY, "must be non-negative", TINY, {}),
+    ("cost.fuel_cost_per_hour", 0.0, "must be positive", TINY, {}),
+    ("safety.farm_area", 0.0, "must be positive", TINY, {}),
+    ("safety.surface_density_limit", 0.0, "must be positive", TINY, {}),
+    ("safety.reflected_density_limit", 0.0, "must be positive", TINY, {}),
+    ("econ.territory_area_km2", 0.0, "must be positive", TINY, {}),
+    ("econ.farm_area_km2", 0.0, "must be positive", TINY, {}),
+    ("output.grid_n", 1, "must be at least 2", 2, {}),
+    ("output.grid_n", 2.0, "must be an integer", 2, {}),
+    ("output.map_window", 0.0, "must be positive", TINY, {}),
+]
+
+
+def with_field(path, value, extra):
+    section, key = path.split(".")
+    data = {name: dict(fields) for name, fields in extra.items()}
+    data.setdefault(section, {})[key] = value
+    return data
+
+
+@pytest.mark.parametrize("path, outside, message, inside, extra", BOUNDS,
+                         ids=[f"{case[0]}={case[1]!r}" for case in BOUNDS])
+def test_field_bounds(path, outside, message, inside, extra):
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict(with_field(path, outside, extra))
+    assert err.value.field_path == path
+    assert str(err.value) == f"{path}: {message}"
+    sb.scenario_from_dict(with_field(path, inside, extra))
+
+
+NULLABLE = {"rf.frequency", "rf.wavelength", "array.spacing", "aircraft.panels",
+            "cost.rf_uplift", "safety.reflected_density_limit", "output.map_window"}
+INTEGERS = {"array.seed", "output.grid_n"}
+SCALARS = sorted({case[0] for case in BOUNDS} - {"beam.target"} - NULLABLE)
+
+
+@pytest.mark.parametrize("path", SCALARS)
+def test_scalar_field_types(path):
+    expected = "must be an integer" if path in INTEGERS else "must be a number"
+    for value in ("1", True, {"value": 1.0}):
+        with pytest.raises(ScenarioValidationError) as err:
+            sb.scenario_from_dict(with_field(path, value, {}))
+        assert str(err.value) == f"{path}: {expected}"
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict(with_field(path, None, {}))
+    missing = "must be an integer" if path in INTEGERS else "is required"
+    assert str(err.value) == f"{path}: {missing}"
+
+
+@pytest.mark.parametrize("data, path", [
+    # unknown keys first within a section
+    ({"aircraft": {"mass": -1.0, "wingspan": 30.0}}, "aircraft.wingspan"),
+    # sections in file order, whatever the key order of the JSON object
+    ({"output": {"grid_n": 1}, "array": {"fill_fraction": 0.0}}, "array.fill_fraction"),
+    ({"econ": {"farm_area_km2": 0.0}, "cost": {"solar_lcoe": -1.0}}, "cost.solar_lcoe"),
+    # fields in their documented order within a section
+    ({"rf": {"frequency": -1.0, "wavelength": 0.3}}, "rf"),
+    ({"array": {"fill_fraction": 0.0, "spacing": 0.0}}, "array.spacing"),
+    ({"beam": {"input_power": 0.0, "target": [0, 0, -1]}}, "beam.target"),
+    ({"network": {"max_scan_deg": 95.0, "farms": "none"}}, "network.farms"),
+    ({"network": {"max_slant_range": 0.0, "input_cap": -1.0}}, "network.input_cap"),
+    ({"plan": {"speed": 0.0, "waypoints": []}}, "plan.waypoints"),
+    ({"cost": {"fuel_cost_per_hour": -1.0, "rf_uplift": -1.0}}, "cost.rf_uplift"),
+    ({"econ": {"farm_area_km2": 0.0, "coverage_fraction": 2.0}},
+     "econ.coverage_fraction[0]"),
+    ({"output": {"map_window": 0.0, "grid_n": 1}}, "output.grid_n"),
+    # the step cap is checked with the plan, before later sections
+    ({"plan": {"timestep": 1e-9}, "cost": {"solar_lcoe": -1.0}}, "plan.timestep"),
+])
+def test_check_order(data, path):
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict(data)
+    assert err.value.field_path == path

@@ -28,7 +28,7 @@ class RfSpec:
     wavenumber: float
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
+        if not self.frequency > 0.0:
             raise InvalidArgumentError("frequency must be positive")
         if abs(self.wavelength * self.frequency - SPEED_OF_LIGHT) > 1e-9 * SPEED_OF_LIGHT:
             raise InvalidArgumentError("wavelength inconsistent with frequency")

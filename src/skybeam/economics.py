@@ -25,11 +25,11 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("solar_lcoe", "panel_cost", "rf_added_cost", "fuel_cost_per_hour"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise InvalidArgumentError(f"{name} must be non-negative")
-        if self.rf_uplift is not None and self.rf_uplift < 0.0:
+        if self.rf_uplift is not None and not self.rf_uplift >= 0.0:
             raise InvalidArgumentError("rf_uplift must be non-negative")
-        if self.rf_uplift is None and self.panel_cost <= 0.0:
+        if self.rf_uplift is None and not self.panel_cost > 0.0:
             raise InvalidArgumentError("panel_cost must be positive to derive the uplift")
 
     @property

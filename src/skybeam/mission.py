@@ -24,9 +24,9 @@ class Aircraft:
     panels: list[ReceiverPanel] = field(default_factory=default_panels)
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.cruise_speed <= 0.0 or self.fuel_burn_reference <= 0.0:
+        if not (self.mass > 0.0 and self.cruise_speed > 0.0 and self.fuel_burn_reference > 0.0):
             raise InvalidArgumentError("mass, cruise_speed and fuel_burn_reference must be positive")
-        if self.lift_to_drag <= 1.0:
+        if not self.lift_to_drag > 1.0:
             raise InvalidArgumentError("lift_to_drag must exceed 1")
         if not 0.0 < self.propulsive_efficiency <= 1.0:
             raise InvalidArgumentError("propulsive_efficiency must be in (0, 1]")
@@ -58,7 +58,7 @@ class FarmNetwork:
             raise InvalidArgumentError("input caps must be non-negative")
         if not 0.0 < self.max_scan_deg < 90.0:
             raise InvalidArgumentError("max_scan_deg must be in (0, 90)")
-        if self.max_slant_range <= 0.0:
+        if not self.max_slant_range > 0.0:
             raise InvalidArgumentError("max_slant_range must be positive")
         for name, arr in (("sites", sites), ("input_caps", caps)):
             arr.setflags(write=False)
@@ -85,9 +85,9 @@ class FlightPlan:
         wps = np.asarray(self.waypoints, dtype=float)
         if wps.ndim != 2 or wps.shape[1] != 3 or wps.shape[0] < 2:
             raise InvalidArgumentError("need at least 2 waypoints of (x, y, altitude)")
-        if np.any(wps[:, 2] <= 0.0):
+        if not np.all(wps[:, 2] > 0.0):
             raise InvalidArgumentError("waypoint altitude must be positive")
-        if self.speed <= 0.0 or self.timestep <= 0.0:
+        if not (self.speed > 0.0 and self.timestep > 0.0):
             raise InvalidArgumentError("speed and timestep must be positive")
         wps.setflags(write=False)
         object.__setattr__(self, "waypoints", wps)

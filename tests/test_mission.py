@@ -510,3 +510,32 @@ def test_oracle_cases_exercise_every_branch():
     assert (side >= 0).any() and not (side == 1).any()
     served = np.concatenate([t.farm_index for t in traces.values()])
     assert (served >= 0).sum() > 100 and (served == -1).sum() > 100
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sb.Aircraft(NAN, 18.0, 0.6, 250.0, 2400.0),
+    lambda: sb.Aircraft(50_000.0, NAN, 0.6, 250.0, 2400.0),
+    lambda: sb.Aircraft(50_000.0, 18.0, NAN, 250.0, 2400.0),
+    lambda: sb.Aircraft(50_000.0, 18.0, 0.6, NAN, 2400.0),
+    lambda: sb.Aircraft(50_000.0, 18.0, 0.6, 250.0, NAN),
+    lambda: sb.FlightPlan([[0, 0, 1e4], [1e5, 0, 1e4]], NAN),
+    lambda: sb.FlightPlan([[0, 0, 1e4], [1e5, 0, 1e4]], 250.0, NAN),
+    lambda: sb.FlightPlan([[0, 0, 1e4], [1e5, 0, NAN]], 250.0),
+    lambda: sb.FarmNetwork(np.zeros((1, 2)), [1e6], 60.0, NAN),
+    lambda: sb.FarmNetwork(np.zeros((1, 2)), [NAN], 60.0, 2e4),
+    lambda: sb.CostModel(solar_lcoe=NAN),
+    lambda: sb.CostModel(24.0, panel_cost=NAN),
+    lambda: sb.CostModel(24.0, rf_uplift=NAN),
+    lambda: sb.ReceiverPanel("underside", np.array([0.0, 0.0, -1.0]), NAN, 0.85),
+    lambda: sb.RfSpec.from_frequency(NAN),
+], ids=["aircraft.mass", "aircraft.lift_to_drag", "aircraft.propulsive_efficiency",
+        "aircraft.cruise_speed", "aircraft.fuel_burn_reference", "plan.speed",
+        "plan.timestep", "plan.altitude", "network.max_slant_range", "network.input_caps",
+        "cost.solar_lcoe", "cost.panel_cost", "cost.rf_uplift", "panel.area", "rf.frequency"])
+def test_domain_types_reject_nan(build):
+    # the API checks stand on their own beside the scenario parser's
+    with pytest.raises(InvalidArgumentError):
+        build()

@@ -18,9 +18,8 @@ from .field import (FieldMap, GratingLobeReport, ObservationGrid, SpotReport,
                     matched_element_spacing, measure_first_null_radius,
                     quantize_phases, solve_focus_phases, spot_report,
                     thinning_efficiency_ratio)
-from .link import (EfficiencyChain, ReceiverPanel, best_panel,
-                   collection_efficiency, default_panels, delivered_power,
-                   end_to_end, farm_surface_density, level_attitude,
+from .link import (EfficiencyChain, ReceiverPanel, best_panel, default_panels,
+                   delivered_power, farm_surface_density, level_attitude,
                    reflected_ground_density, required_input_power)
 from .mission import (Aircraft, FarmAssignment, FarmNetwork, FlightPlan,
                       MissionTrace, Visibility, assign_farms, coverage_fraction,

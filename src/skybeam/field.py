@@ -29,6 +29,7 @@ classical aperture theory and conserves energy; see matched_element_spacing.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -217,8 +218,12 @@ class FieldMap:
 # ---------------------------------------------------------------------------
 
 def _pattern_gain(dz: np.ndarray, r: np.ndarray, pattern: str) -> np.ndarray:
+    """Element power gain toward each point; a new array the caller may reuse."""
     if pattern == PATTERN_COSINE:
-        return 4.0 * np.clip(dz / r, 0.0, None)
+        gain = dz / r
+        np.clip(gain, 0.0, None, out=gain)
+        gain *= 4.0
+        return gain
     if pattern == PATTERN_ISOTROPIC:
         return np.ones_like(r)
     raise InvalidArgumentError(f"unknown element pattern {pattern!r}")
@@ -296,13 +301,7 @@ def _field_block(pts: np.ndarray, ex, ey, ez, phases, p_scale: float, k: float,
     min_r = float(r.min())
     if min_r <= 0.0:
         raise DegenerateGeometryError("observation point coincides with an element")
-    if pattern == PATTERN_COSINE:
-        gain = np.clip(dz / r, 0.0, None)
-        gain *= 4.0
-    elif pattern == PATTERN_ISOTROPIC:
-        gain = np.ones_like(r)
-    else:
-        raise InvalidArgumentError(f"unknown element pattern {pattern!r}")
+    gain = _pattern_gain(dz, r, pattern)
     del dz
     gain *= p_scale
     np.sqrt(gain, out=gain)
@@ -326,7 +325,8 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
 
     Parameters
     ----------
-    threads : worker threads over point blocks; affects speed only.
+    threads : worker threads over point blocks, at most one per block and
+        per CPU; affects speed only.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -354,7 +354,8 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
             for bi in range(len(bounds)):
                 run(bi)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            workers = min(threads, len(bounds), os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run, range(len(bounds))))
         _warn_if_near(float(min_rs.min()), layout)
 

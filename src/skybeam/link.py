@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import RfSpec
 from .errors import InvalidArgumentError, NoVisiblePanelError
-from .field import FieldMap, encircled_energy, first_null_spot_diameter
+from .field import first_null_spot_diameter
 
 # Tie-break precedence when two panels see the beam equally well.
 PANEL_LABELS = ("underside", "lower-front", "lower-tail")
@@ -43,11 +43,6 @@ class EfficiencyChain:
         return EfficiencyChain(self.dc_to_rf, self.beam_collection, cosine, self.rf_to_dc)
 
 
-def end_to_end(chain: EfficiencyChain) -> float:
-    """Product of the four chain stages."""
-    return chain.end_to_end
-
-
 def delivered_power(input_power: float, chain: EfficiencyChain) -> float:
     """DC watts at the aircraft bus for a given grid input power."""
     if input_power < 0.0:
@@ -61,12 +56,6 @@ def required_input_power(delivered: float, chain: EfficiencyChain) -> float:
     if e2e <= 0.0:
         raise InvalidArgumentError("chain end-to-end efficiency must be positive")
     return delivered / e2e
-
-
-def collection_efficiency(fmap: FieldMap, center, footprint_diameter: float,
-                          total_power: float) -> float:
-    """Fraction of radiated power captured by a receiver footprint disk."""
-    return encircled_energy(fmap, center, footprint_diameter, total_power)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +79,7 @@ class ReceiverPanel:
         n = np.array(self.normal, dtype=float)
         if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise InvalidArgumentError("panel normal must be a 3-D unit vector")
-        if self.area <= 0.0:
+        if not self.area > 0.0:
             raise InvalidArgumentError("panel area must be positive")
         if not 0.0 <= self.rf_to_dc <= 1.0:
             raise InvalidArgumentError("rf_to_dc must be in [0, 1]")

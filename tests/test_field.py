@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import skybeam as sb
+from skybeam import field
 from skybeam.errors import (DegenerateGeometryError, InvalidArgumentError,
                             NearFieldWarning, ResolutionError)
 from skybeam.field import PATTERN_ISOTROPIC
@@ -181,6 +182,38 @@ def test_boresight_map_has_layout_symmetry(rf10cm):
     assert np.abs(dens - dens[::-1, :]).max() / peak < 1e-9
     assert np.abs(dens - dens[:, ::-1]).max() / peak < 1e-9
     assert np.abs(dens - dens.T).max() / peak < 1e-9
+
+
+def test_fast_thread_count_is_clamped(rf10cm, monkeypatch):
+    # a fake executor records max_workers and runs the blocks in this thread,
+    # so the huge request starts no thread at all
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(field, "ThreadPoolExecutor", Recorder)
+    layout = sb.make_planar_array(0.65, 0.05)
+    cmd = sb.focus_command(layout, rf10cm, [0.0, 0.0, 150.0], 1.0)
+    grid = sb.ObservationGrid.horizontal([0.0, 0.0, 150.0], 41, 60.0)
+    blocks = math.ceil(41 * 41 / field._CHUNK)
+    assert blocks > 4
+    serial = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
+    for cpus, threads, workers in ((4, 10**9, 4), (64, 10**9, blocks), (None, 3, 1)):
+        monkeypatch.setattr(field.os, "cpu_count", lambda n=cpus: n)
+        fmap = sb.evaluate_field_fast(layout, rf10cm, cmd, grid, threads=threads)
+        assert requested[-1] == workers
+        assert np.array_equal(fmap.complex_field, serial.complex_field)
 
 
 def test_fast_rejects_bad_threads(rf10cm):

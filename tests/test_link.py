@@ -176,6 +176,6 @@ def test_collection_efficiency_monotone(rf10cm):
     cmd = sb.focus_command(layout, rf10cm, [0.0, 0.0, 150.0], 1.0)
     grid = sb.ObservationGrid.horizontal([0.0, 0.0, 150.0], 81, 80.0)
     fmap = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
-    small = sb.collection_efficiency(fmap, [0.0, 0.0, 150.0], 20.0, 1.0)
-    large = sb.collection_efficiency(fmap, [0.0, 0.0, 150.0], 40.0, 1.0)
+    small = sb.encircled_energy(fmap, [0.0, 0.0, 150.0], 20.0, 1.0)
+    large = sb.encircled_energy(fmap, [0.0, 0.0, 150.0], 40.0, 1.0)
     assert small < large

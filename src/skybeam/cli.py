@@ -22,7 +22,7 @@ from .field import (ObservationGrid, evaluate_field_fast, focus_command,
                     spot_report)
 from .mission import (FarmNetwork, cruise_power, mission_summary,
                       simulate_mission)
-from .scenario import MAX_MAP_ELEMENTS, Scenario, parse_scenario
+from .scenario import MAX_MAP_ELEMENTS, Scenario, check_grid_n, parse_scenario
 
 
 def _fmt(value) -> str:
@@ -63,6 +63,8 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         raise SkybeamError(
             f"array too large for a map run (~{scn.estimated_element_count():.3g} "
             "elements); use a scaled scenario such as spot_scaled")
+    if args.grid_n:
+        check_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
     command = focus_command(layout, scn.rf, scn.beam_target, scn.radiated_power())
     grid_n = args.grid_n if args.grid_n else scn.grid_n
@@ -95,14 +97,20 @@ def cmd_beam_map(scn: Scenario, args) -> str:
     return _emit(pairs, args.format == "json", "beam map")
 
 
+def _safety_densities(scn: Scenario) -> tuple[float, float, float]:
+    """Farm surface density, reflected spot diameter and reflected ground density."""
+    surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
+    range_m = float(scn.beam_target[2])
+    spot = 2.0 * first_null_spot_diameter(scn.aperture_diameter, scn.rf, range_m)
+    reflected = link_mod.reflected_ground_density(scn.radiated_power(), spot, scn.rf,
+                                                  range_m)
+    return surface, spot, reflected
+
+
 def cmd_link(scn: Scenario, args) -> str:
     chain = scn.chain
     delivered = link_mod.delivered_power(scn.beam_input_power, chain)
-    surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
-    spot = first_null_spot_diameter(scn.aperture_diameter, scn.rf,
-                                    float(scn.beam_target[2]))
-    reflected = link_mod.reflected_ground_density(
-        scn.radiated_power(), 2.0 * spot, scn.rf, float(scn.beam_target[2]))
+    surface, _, reflected = _safety_densities(scn)
     pairs = [
         ("input_power_W", scn.beam_input_power),
         ("stage_dc_to_rf", chain.dc_to_rf),
@@ -195,11 +203,7 @@ def cmd_econ(scn: Scenario, args) -> str:
 
 
 def cmd_safety(scn: Scenario, args) -> str:
-    surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
-    spot = first_null_spot_diameter(scn.aperture_diameter, scn.rf,
-                                    float(scn.beam_target[2]))
-    reflected = link_mod.reflected_ground_density(
-        scn.radiated_power(), 2.0 * spot, scn.rf, float(scn.beam_target[2]))
+    surface, spot, reflected = _safety_densities(scn)
     pairs = [
         ("input_power_W", scn.beam_input_power),
         ("farm_area_m2", scn.farm_area),
@@ -208,7 +212,7 @@ def cmd_safety(scn: Scenario, args) -> str:
         ("surface_density_check",
          "PASS" if surface <= scn.surface_density_limit else "FAIL"),
         ("worst_case_reflected_power_W", scn.radiated_power()),
-        ("reflected_spot_diameter_m", 2.0 * spot),
+        ("reflected_spot_diameter_m", spot),
         ("reflected_ground_density_W_per_m2", reflected),
         ("reflected_density_check",
          _reflected_check(reflected, scn.reflected_density_limit)),

@@ -3,6 +3,15 @@
 Unspecified fields fall back to the single-aisle baseline case (50 t airliner,
 1 km farm aperture, 10 cm carrier). Validation failures name the offending
 field as `section.key` and surface as ScenarioValidationError (CLI exit 4).
+
+Every field is one row of `_FIELDS`: (section, key, default, kind). A kind
+takes the raw value (the default when the key is absent), the field path and
+the values read so far, and returns the checked value or raises with the path.
+Scalar kinds are `_bound`s; structured fields have kinds of their own.
+Sections are read in `_SECTIONS` order, unknown keys first and then the rows
+in table order, which is thus the order in which faults are found. A section
+with a domain type is then built from its fields (`_BUILD`), where the checks
+that span a section run.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import SPEED_OF_LIGHT
 from .core import ArrayLayout, RfSpec, make_planar_array
 from .economics import CostModel
 from .errors import (ScenarioFileError, ScenarioParseError,
@@ -29,6 +39,11 @@ _SECTIONS = ("rf", "array", "beam", "chain", "aircraft", "network", "plan",
 # ~3e8 elements and is not a desk-scale map evaluation
 MAX_MAP_ELEMENTS = 20e6
 
+# beam-map guard on grid_n x grid_n, checked before any grid array exists:
+# each map point holds 24 bytes of coordinates, 16 of complex field and 8 of
+# density, and the evaluation and the map each keep a copy (~0.4 GB at 2000^2).
+MAX_MAP_POINTS = 2000 * 2000
+
 # Mission step guard, checked before any per-step array is allocated: a
 # day-long flight (86 400 s) at a 0.1 s timestep is 864k steps, and each step
 # costs ~100 bytes of trace plus one CSV row.
@@ -37,31 +52,6 @@ MAX_MISSION_STEPS = 1_000_000
 # Default farm row: one site every 31.6 km along a 500 km corridor.
 _FARM_ROW_SPACING = 31_600.0
 _FARM_ROW = [[i * _FARM_ROW_SPACING, 0.0] for i in range(17)]
-
-DEFAULTS: dict = {
-    "rf": {"wavelength": 0.1},
-    "array": {"aperture_diameter": 1000.0, "spacing": None,
-              "fill_fraction": 1.0, "seed": 42},
-    "beam": {"target": [0.0, 0.0, 10_000.0], "input_power": 100e6},
-    # stages multiply to 0.20 end-to-end while keeping the demonstrated
-    # 85 % rectenna stage (beam_collection = 8/17)
-    "chain": {"dc_to_rf": 0.5, "beam_collection": 0.47058823529411764,
-              "incidence_cosine": 1.0, "rf_to_dc": 0.85},
-    "aircraft": {"mass": 50_000.0, "lift_to_drag": 18.0,
-                 "propulsive_efficiency": 0.6, "cruise_speed": 250.0,
-                 "fuel_burn_reference": 2400.0, "panels": None},
-    "network": {"farms": _FARM_ROW, "input_cap": 100e6,
-                "max_scan_deg": 60.0, "max_slant_range": 20_000.0},
-    "plan": {"waypoints": [[0.0, 0.0, 10_000.0], [500_000.0, 0.0, 10_000.0]],
-             "speed": 250.0, "timestep": 10.0},
-    "cost": {"solar_lcoe": 24.0, "panel_cost": 200.0, "rf_added_cost": 100.0,
-             "fuel_cost_per_hour": 1992.0, "rf_uplift": None},
-    "safety": {"farm_area": 1e6, "surface_density_limit": 100.0,
-               "reflected_density_limit": None},
-    "econ": {"territory_area_km2": 8.08e6, "coverage_fraction": 0.001,
-             "farm_area_km2": 1.0},
-    "output": {"grid_n": 101, "map_window": None},
-}
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -93,43 +83,246 @@ def _finite(value, path: str) -> float:
     return number
 
 
-def _number(section: dict, path: str, key: str, *, default=None,
-            allow_none: bool = False):
-    value = section.get(key, default)
-    if value is None:
-        if allow_none:
-            return None
-        raise ScenarioValidationError(f"{path}.{key}", "is required")
-    return _finite(value, f"{path}.{key}")
+def _bound(*tests, optional: bool = False):
+    """Kind of a finite number passing each (test, message); null only if optional."""
+    def kind(value, path: str, values=None):
+        if value is None:
+            if optional:
+                return None
+            raise ScenarioValidationError(path, "is required")
+        number = _finite(value, path)
+        for test, message in tests:
+            if not test(number):
+                raise ScenarioValidationError(path, message)
+        return number
+    return kind
 
 
-def _integer(section: dict, path: str, key: str, *, default=None) -> int:
-    value = section.get(key, default)
+_ABOVE_ZERO = (lambda x: x > 0.0, "must be positive")
+_NOT_BELOW_ZERO = (lambda x: x >= 0.0, "must be non-negative")
+
+POSITIVE = _bound(_ABOVE_ZERO)
+NON_NEGATIVE = _bound(_NOT_BELOW_ZERO)
+FRACTION = _bound((lambda x: 0.0 < x <= 1.0, "must be in (0, 1]"))
+CLOSED_FRACTION = _bound((lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]"))
+ABOVE_ONE = _bound((lambda x: x > 1.0, "must exceed 1"))
+SCAN_ANGLE = _bound((lambda x: 0.0 < x < 90.0, "must be in (0, 90)"))
+# a negative rate is refused as such before zero is
+HOURLY_COST = _bound(_NOT_BELOW_ZERO, _ABOVE_ZERO)
+OPTIONAL = _bound(optional=True)
+OPTIONAL_POSITIVE = _bound(_ABOVE_ZERO, optional=True)
+OPTIONAL_NON_NEGATIVE = _bound(_NOT_BELOW_ZERO, optional=True)
+
+
+def _integer(value, path: str, values=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioValidationError(f"{path}.{key}", "must be an integer")
+        raise ScenarioValidationError(path, "must be an integer")
     return value
 
 
-def _positive(value: float, path: str):
-    if value <= 0.0:
-        raise ScenarioValidationError(path, "must be positive")
-    return value
+def check_grid_n(grid_n: int, path: str) -> None:
+    """Refuse a map of more than MAX_MAP_POINTS points (grid_n per side)."""
+    side = math.isqrt(MAX_MAP_POINTS)
+    if grid_n > side:
+        raise ScenarioValidationError(
+            path, f"must be at most {side} (a map of {MAX_MAP_POINTS} points)")
 
 
-def _fraction(value: float, path: str, *, closed_low: bool = False):
-    low_ok = value >= 0.0 if closed_low else value > 0.0
-    if not (low_ok and value <= 1.0):
-        bound = "[0, 1]" if closed_low else "(0, 1]"
-        raise ScenarioValidationError(path, f"must be in {bound}")
-    return value
+def _grid_n(value, path: str, values=None) -> int:
+    grid_n = _integer(value, path)
+    if grid_n < 2:
+        raise ScenarioValidationError(path, "must be at least 2")
+    check_grid_n(grid_n, path)
+    return grid_n
 
 
-def _vector(section: dict, path: str, key: str, length: int, default=None):
-    value = section.get(key, default)
+def _vector(value, path: str, length: int) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ScenarioValidationError(f"{path}.{key}",
-                                      f"must be a list of {length} numbers")
-    return [_finite(v, f"{path}.{key}") for v in value]
+        raise ScenarioValidationError(path, f"must be a list of {length} numbers")
+    return [_finite(v, path) for v in value]
+
+
+def _spacing(value, path: str, values) -> float:
+    if value is None:
+        value = 0.5 * values["rf"].wavelength
+    spacing = POSITIVE(value, path)
+    if spacing >= values["array"]["aperture_diameter"]:
+        raise ScenarioValidationError(path, "must be smaller than aperture_diameter")
+    return spacing
+
+
+def _target(value, path: str, values) -> np.ndarray:
+    target = np.asarray(_vector(value, path, 3), dtype=float)
+    if target[2] <= 0.0:
+        raise ScenarioValidationError(path, "altitude (third entry) must be positive")
+    # the closed-form peak density divides by (wavelength * altitude)^2
+    if target[2] <= values["rf"].wavelength:
+        raise ScenarioValidationError(path, "altitude (third entry) must exceed the wavelength")
+    return target
+
+
+def _panels(value, path: str, values) -> list[ReceiverPanel]:
+    if value is None:
+        return default_panels()
+    if not isinstance(value, list) or not value:
+        raise ScenarioValidationError(path, "must be a non-empty list of panels")
+    panels = []
+    for idx, item in enumerate(value):
+        item_path = f"{path}[{idx}]"
+        p = _expect_mapping(item, item_path)
+        _reject_unknown(p, item_path, {"label", "normal", "area", "rf_to_dc"})
+        label = p.get("label")
+        if not isinstance(label, str) or not label:
+            raise ScenarioValidationError(f"{item_path}.label", "must be a non-empty string")
+        normal = _vector(p.get("normal"), f"{item_path}.normal", 3)
+        area = POSITIVE(p.get("area"), f"{item_path}.area")
+        eff = CLOSED_FRACTION(p.get("rf_to_dc", 0.85), f"{item_path}.rf_to_dc")
+        norm = float(np.linalg.norm(normal))
+        if norm <= 0.0:
+            raise ScenarioValidationError(f"{item_path}.normal", "must be non-zero")
+        panels.append(ReceiverPanel(label, np.asarray(normal) / norm, area, eff))
+    return panels
+
+
+def _farms(value, path: str, values) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ScenarioValidationError(path, "must be a list of [x, y] pairs")
+    sites = []
+    for idx, site in enumerate(value):
+        if not isinstance(site, (list, tuple)) or len(site) != 2:
+            raise ScenarioValidationError(f"{path}[{idx}]", "must be a pair of numbers")
+        sites.append([_finite(v, f"{path}[{idx}]") for v in site])
+    return np.asarray(sites, dtype=float).reshape(len(sites), 2)
+
+
+def _input_caps(value, path: str, values) -> np.ndarray:
+    n_farms = values["network"]["farms"].shape[0]
+    if isinstance(value, (list, tuple)):
+        if len(value) != n_farms:
+            raise ScenarioValidationError(path, "list length must match farms")
+        caps = [_finite(c, f"{path}[{idx}]") for idx, c in enumerate(value)]
+        if any(c < 0 for c in caps):
+            raise ScenarioValidationError(path, "must be non-negative")
+    else:
+        caps = [NON_NEGATIVE(value, path)] * n_farms
+    return np.asarray(caps, dtype=float)
+
+
+def _waypoints(value, path: str, values) -> np.ndarray:
+    if not isinstance(value, list) or len(value) < 2:
+        raise ScenarioValidationError(path, "need at least 2 waypoints")
+    wps = []
+    for idx, wp in enumerate(value):
+        wp_path = f"{path}[{idx}]"
+        if not isinstance(wp, (list, tuple)) or len(wp) != 3:
+            raise ScenarioValidationError(wp_path, "must be [x, y, altitude] numbers")
+        wp = [_finite(v, wp_path) for v in wp]
+        if wp[2] <= 0.0:
+            raise ScenarioValidationError(wp_path, "altitude must be positive")
+        # a zero-length segment, measured as the mission measures segments
+        if wps and np.linalg.norm(np.subtract(wp, wps[-1])) <= 0.0:
+            raise ScenarioValidationError(wp_path, "must differ from the previous waypoint")
+        wps.append(wp)
+    return np.asarray(wps, dtype=float)
+
+
+def _coverage(value, path: str, values) -> tuple:
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ScenarioValidationError(path, "must not be empty")
+    return tuple(CLOSED_FRACTION(_finite(v, f"{path}[{idx}]"), f"{path}[{idx}]")
+                 for idx, v in enumerate(items))
+
+
+# One row per field, in check order within each section.
+_FIELDS = (
+    # rf: frequency XOR wavelength, 0.1 m when neither is given (_build_rf)
+    ("rf", "frequency", None, OPTIONAL),
+    ("rf", "wavelength", None, OPTIONAL),
+    ("array", "aperture_diameter", 1000.0, POSITIVE),
+    ("array", "spacing", None, _spacing),       # null: half the wavelength
+    ("array", "fill_fraction", 1.0, FRACTION),
+    ("array", "seed", 42, _integer),
+    ("beam", "target", [0.0, 0.0, 10_000.0], _target),
+    ("beam", "input_power", 100e6, POSITIVE),
+    # stages multiply to 0.20 end-to-end while keeping the demonstrated
+    # 85 % rectenna stage (beam_collection = 8/17)
+    ("chain", "dc_to_rf", 0.5, CLOSED_FRACTION),
+    ("chain", "beam_collection", 0.47058823529411764, CLOSED_FRACTION),
+    ("chain", "incidence_cosine", 1.0, CLOSED_FRACTION),
+    ("chain", "rf_to_dc", 0.85, CLOSED_FRACTION),
+    ("aircraft", "mass", 50_000.0, POSITIVE),
+    ("aircraft", "lift_to_drag", 18.0, ABOVE_ONE),
+    ("aircraft", "propulsive_efficiency", 0.6, FRACTION),
+    ("aircraft", "cruise_speed", 250.0, POSITIVE),
+    ("aircraft", "fuel_burn_reference", 2400.0, POSITIVE),
+    ("aircraft", "panels", None, _panels),      # null: the stock 3-panel fit
+    ("network", "farms", _FARM_ROW, _farms),
+    ("network", "input_cap", 100e6, _input_caps),
+    ("network", "max_scan_deg", 60.0, SCAN_ANGLE),
+    ("network", "max_slant_range", 20_000.0, POSITIVE),
+    ("plan", "waypoints", [[0.0, 0.0, 10_000.0], [500_000.0, 0.0, 10_000.0]],
+     _waypoints),
+    ("plan", "speed", 250.0, POSITIVE),
+    ("plan", "timestep", 10.0, POSITIVE),
+    ("cost", "rf_uplift", None, OPTIONAL_NON_NEGATIVE),
+    ("cost", "solar_lcoe", 24.0, NON_NEGATIVE),
+    ("cost", "panel_cost", 200.0, NON_NEGATIVE),
+    ("cost", "rf_added_cost", 100.0, NON_NEGATIVE),
+    ("cost", "fuel_cost_per_hour", 1992.0, HOURLY_COST),
+    ("safety", "farm_area", 1e6, POSITIVE),
+    ("safety", "surface_density_limit", 100.0, POSITIVE),
+    ("safety", "reflected_density_limit", None, OPTIONAL_POSITIVE),
+    ("econ", "territory_area_km2", 8.08e6, POSITIVE),
+    ("econ", "coverage_fraction", 0.001, _coverage),
+    ("econ", "farm_area_km2", 1.0, POSITIVE),
+    ("output", "grid_n", 101, _grid_n),
+    ("output", "map_window", None, OPTIONAL_POSITIVE),
+)
+
+_ROWS: dict = {name: [] for name in _SECTIONS}
+for _section, *_row in _FIELDS:
+    _ROWS[_section].append(_row)
+
+
+def _carrier(value, path: str, other: str) -> float:
+    value = POSITIVE(value, path)
+    if not math.isfinite(SPEED_OF_LIGHT / value):
+        raise ScenarioValidationError(path, f"is too small: the {other} overflows")
+    return value
+
+
+def _build_rf(frequency, wavelength) -> RfSpec:
+    if frequency is not None and wavelength is not None:
+        raise ScenarioValidationError("rf", "give frequency or wavelength, not both")
+    if frequency is not None:
+        return RfSpec.from_frequency(_carrier(frequency, "rf.frequency", "wavelength"))
+    wavelength = 0.1 if wavelength is None else wavelength
+    return RfSpec.from_wavelength(_carrier(wavelength, "rf.wavelength", "frequency"))
+
+
+def _build_plan(**fields) -> FlightPlan:
+    plan = FlightPlan(**fields)
+    steps = plan.duration / plan.timestep
+    if steps > MAX_MISSION_STEPS:
+        raise ScenarioValidationError(
+            "plan.timestep", f"gives {steps:.3g} mission steps over the route "
+            f"(limit {MAX_MISSION_STEPS}); use a longer timestep")
+    return plan
+
+
+def _build_cost(**fields) -> CostModel:
+    if fields["rf_uplift"] is None and fields["panel_cost"] <= 0.0:
+        raise ScenarioValidationError("cost.panel_cost",
+                                      "must be positive when rf_uplift is null")
+    return CostModel(**fields)
+
+
+# Domain type of each section that has one, built from the section's fields.
+_BUILD = {"rf": _build_rf, "chain": EfficiencyChain, "aircraft": Aircraft,
+          "network": lambda farms, input_cap, max_scan_deg, max_slant_range: FarmNetwork(
+              farms, input_cap, max_scan_deg, max_slant_range),
+          "plan": _build_plan, "cost": _build_cost}
 
 
 @dataclass(frozen=True)
@@ -175,227 +368,34 @@ class Scenario:
         return self.beam_input_power * self.chain.dc_to_rf
 
 
-def _build_rf(section: dict) -> RfSpec:
-    _reject_unknown(section, "rf", {"frequency", "wavelength"})
-    freq = _number(section, "rf", "frequency", default=None, allow_none=True)
-    wl = _number(section, "rf", "wavelength", default=None, allow_none=True)
-    if freq is None and wl is None:
-        wl = DEFAULTS["rf"]["wavelength"]
-    if freq is not None and wl is not None:
-        raise ScenarioValidationError("rf", "give frequency or wavelength, not both")
-    if freq is not None:
-        return RfSpec.from_frequency(_positive(freq, "rf.frequency"))
-    return RfSpec.from_wavelength(_positive(wl, "rf.wavelength"))
-
-
-def _build_panels(value, path: str) -> list[ReceiverPanel]:
-    if value is None:
-        return default_panels()
-    if not isinstance(value, list) or not value:
-        raise ScenarioValidationError(path, "must be a non-empty list of panels")
-    panels = []
-    for idx, item in enumerate(value):
-        p = _expect_mapping(item, f"{path}[{idx}]")
-        _reject_unknown(p, f"{path}[{idx}]", {"label", "normal", "area", "rf_to_dc"})
-        label = p.get("label")
-        if not isinstance(label, str) or not label:
-            raise ScenarioValidationError(f"{path}[{idx}].label", "must be a non-empty string")
-        normal = _vector(p, f"{path}[{idx}]", "normal", 3)
-        area = _positive(_number(p, f"{path}[{idx}]", "area"), f"{path}[{idx}].area")
-        eff = _fraction(_number(p, f"{path}[{idx}]", "rf_to_dc", default=0.85),
-                        f"{path}[{idx}].rf_to_dc", closed_low=True)
-        norm = float(np.linalg.norm(normal))
-        if norm <= 0.0:
-            raise ScenarioValidationError(f"{path}[{idx}].normal", "must be non-zero")
-        panels.append(ReceiverPanel(label, np.asarray(normal) / norm, area, eff))
-    return panels
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     data = _expect_mapping(data, "scenario")
     _reject_unknown(data, "scenario", _SECTIONS)
-    merged = {name: _expect_mapping(data.get(name, {}), name) for name in _SECTIONS}
+    sections = {name: _expect_mapping(data.get(name, {}), name) for name in _SECTIONS}
+    values: dict = {}
+    for name in _SECTIONS:
+        section = sections[name]
+        _reject_unknown(section, name, [key for key, _, _ in _ROWS[name]])
+        fields = values[name] = {}
+        for key, default, kind in _ROWS[name]:
+            fields[key] = kind(section.get(key, default), f"{name}.{key}", values)
+        if name in _BUILD:
+            values[name] = _BUILD[name](**fields)
 
-    rf = _build_rf(merged["rf"])
-
-    sec = merged["array"]
-    _reject_unknown(sec, "array", set(DEFAULTS["array"]))
-    d = DEFAULTS["array"]
-    aperture = _positive(_number(sec, "array", "aperture_diameter",
-                                 default=d["aperture_diameter"]),
-                         "array.aperture_diameter")
-    spacing = _number(sec, "array", "spacing", default=d["spacing"], allow_none=True)
-    if spacing is None:
-        spacing = 0.5 * rf.wavelength
-    _positive(spacing, "array.spacing")
-    if spacing >= aperture:
-        raise ScenarioValidationError("array.spacing",
-                                      "must be smaller than aperture_diameter")
-    fill = _fraction(_number(sec, "array", "fill_fraction", default=d["fill_fraction"]),
-                     "array.fill_fraction")
-    seed = _integer(sec, "array", "seed", default=d["seed"])
-
-    sec = merged["beam"]
-    _reject_unknown(sec, "beam", set(DEFAULTS["beam"]))
-    target = np.asarray(_vector(sec, "beam", "target", 3,
-                                default=DEFAULTS["beam"]["target"]), dtype=float)
-    if target[2] <= 0.0:
-        raise ScenarioValidationError("beam.target", "altitude (third entry) must be positive")
-    input_power = _positive(_number(sec, "beam", "input_power",
-                                    default=DEFAULTS["beam"]["input_power"]),
-                            "beam.input_power")
-
-    sec = merged["chain"]
-    _reject_unknown(sec, "chain", set(DEFAULTS["chain"]))
-    stages = {}
-    for key in ("dc_to_rf", "beam_collection", "incidence_cosine", "rf_to_dc"):
-        stages[key] = _fraction(_number(sec, "chain", key, default=DEFAULTS["chain"][key]),
-                                f"chain.{key}", closed_low=True)
-    chain = EfficiencyChain(**stages)
-
-    sec = merged["aircraft"]
-    _reject_unknown(sec, "aircraft", set(DEFAULTS["aircraft"]))
-    d = DEFAULTS["aircraft"]
-    mass = _positive(_number(sec, "aircraft", "mass", default=d["mass"]), "aircraft.mass")
-    lod = _number(sec, "aircraft", "lift_to_drag", default=d["lift_to_drag"])
-    if lod <= 1.0:
-        raise ScenarioValidationError("aircraft.lift_to_drag", "must exceed 1")
-    eta = _fraction(_number(sec, "aircraft", "propulsive_efficiency",
-                            default=d["propulsive_efficiency"]),
-                    "aircraft.propulsive_efficiency")
-    speed = _positive(_number(sec, "aircraft", "cruise_speed", default=d["cruise_speed"]),
-                      "aircraft.cruise_speed")
-    burn = _positive(_number(sec, "aircraft", "fuel_burn_reference",
-                             default=d["fuel_burn_reference"]),
-                     "aircraft.fuel_burn_reference")
-    panels = _build_panels(sec.get("panels", d["panels"]), "aircraft.panels")
-    aircraft = Aircraft(mass, lod, eta, speed, burn, panels)
-
-    sec = merged["network"]
-    _reject_unknown(sec, "network", set(DEFAULTS["network"]))
-    d = DEFAULTS["network"]
-    farms_raw = sec.get("farms", d["farms"])
-    if not isinstance(farms_raw, list):
-        raise ScenarioValidationError("network.farms", "must be a list of [x, y] pairs")
-    sites = []
-    for idx, site in enumerate(farms_raw):
-        if not isinstance(site, (list, tuple)) or len(site) != 2:
-            raise ScenarioValidationError(f"network.farms[{idx}]",
-                                          "must be a pair of numbers")
-        sites.append([_finite(v, f"network.farms[{idx}]") for v in site])
-    cap_raw = sec.get("input_cap", d["input_cap"])
-    if isinstance(cap_raw, (list, tuple)):
-        if len(cap_raw) != len(sites):
-            raise ScenarioValidationError("network.input_cap",
-                                          "list length must match farms")
-        caps = [_finite(c, f"network.input_cap[{idx}]") for idx, c in enumerate(cap_raw)]
-        if any(c < 0 for c in caps):
-            raise ScenarioValidationError("network.input_cap", "must be non-negative")
-    else:
-        cap = _number(sec, "network", "input_cap", default=d["input_cap"])
-        if cap < 0:
-            raise ScenarioValidationError("network.input_cap", "must be non-negative")
-        caps = [cap] * len(sites)
-    scan = _number(sec, "network", "max_scan_deg", default=d["max_scan_deg"])
-    if not 0.0 < scan < 90.0:
-        raise ScenarioValidationError("network.max_scan_deg", "must be in (0, 90)")
-    slant = _positive(_number(sec, "network", "max_slant_range",
-                              default=d["max_slant_range"]),
-                      "network.max_slant_range")
-    network = FarmNetwork(np.asarray(sites, dtype=float).reshape(len(sites), 2),
-                          np.asarray(caps, dtype=float), scan, slant)
-
-    sec = merged["plan"]
-    _reject_unknown(sec, "plan", set(DEFAULTS["plan"]))
-    d = DEFAULTS["plan"]
-    wps_raw = sec.get("waypoints", d["waypoints"])
-    if not isinstance(wps_raw, list) or len(wps_raw) < 2:
-        raise ScenarioValidationError("plan.waypoints", "need at least 2 waypoints")
-    wps = []
-    for idx, wp in enumerate(wps_raw):
-        if not isinstance(wp, (list, tuple)) or len(wp) != 3:
-            raise ScenarioValidationError(f"plan.waypoints[{idx}]",
-                                          "must be [x, y, altitude] numbers")
-        wp = [_finite(v, f"plan.waypoints[{idx}]") for v in wp]
-        if wp[2] <= 0.0:
-            raise ScenarioValidationError(f"plan.waypoints[{idx}]",
-                                          "altitude must be positive")
-        wps.append(wp)
-    plan_speed = _positive(_number(sec, "plan", "speed", default=d["speed"]), "plan.speed")
-    dt = _positive(_number(sec, "plan", "timestep", default=d["timestep"]), "plan.timestep")
-    plan = FlightPlan(np.asarray(wps, dtype=float), plan_speed, dt)
-    steps = plan.duration / dt
-    if steps > MAX_MISSION_STEPS:
-        raise ScenarioValidationError(
-            "plan.timestep", f"gives {steps:.3g} mission steps over the route "
-            f"(limit {MAX_MISSION_STEPS}); use a longer timestep")
-
-    sec = merged["cost"]
-    _reject_unknown(sec, "cost", set(DEFAULTS["cost"]))
-    d = DEFAULTS["cost"]
-    uplift = _number(sec, "cost", "rf_uplift", default=d["rf_uplift"], allow_none=True)
-    if uplift is not None and uplift < 0.0:
-        raise ScenarioValidationError("cost.rf_uplift", "must be non-negative")
-    cost_fields = {}
-    for key in ("solar_lcoe", "panel_cost", "rf_added_cost", "fuel_cost_per_hour"):
-        v = _number(sec, "cost", key, default=d[key])
-        if v < 0.0:
-            raise ScenarioValidationError(f"cost.{key}", "must be non-negative")
-        cost_fields[key] = v
-    if cost_fields["fuel_cost_per_hour"] <= 0.0:
-        raise ScenarioValidationError("cost.fuel_cost_per_hour", "must be positive")
-    cost = CostModel(rf_uplift=uplift, **cost_fields)
-
-    sec = merged["safety"]
-    _reject_unknown(sec, "safety", set(DEFAULTS["safety"]))
-    d = DEFAULTS["safety"]
-    farm_area = _positive(_number(sec, "safety", "farm_area", default=d["farm_area"]),
-                          "safety.farm_area")
-    surface_limit = _positive(_number(sec, "safety", "surface_density_limit",
-                                      default=d["surface_density_limit"]),
-                              "safety.surface_density_limit")
-    reflected_limit = _number(sec, "safety", "reflected_density_limit",
-                              default=d["reflected_density_limit"], allow_none=True)
-    if reflected_limit is not None:
-        _positive(reflected_limit, "safety.reflected_density_limit")
-
-    sec = merged["econ"]
-    _reject_unknown(sec, "econ", set(DEFAULTS["econ"]))
-    d = DEFAULTS["econ"]
-    territory = _positive(_number(sec, "econ", "territory_area_km2",
-                                  default=d["territory_area_km2"]),
-                          "econ.territory_area_km2")
-    cov_raw = sec.get("coverage_fraction", d["coverage_fraction"])
-    cov_list = cov_raw if isinstance(cov_raw, list) else [cov_raw]
-    if not cov_list:
-        raise ScenarioValidationError("econ.coverage_fraction", "must not be empty")
-    econ_cov = []
-    for idx, v in enumerate(cov_list):
-        path = f"econ.coverage_fraction[{idx}]"
-        econ_cov.append(_fraction(_finite(v, path), path, closed_low=True))
-    econ_farm = _positive(_number(sec, "econ", "farm_area_km2",
-                                  default=d["farm_area_km2"]),
-                          "econ.farm_area_km2")
-
-    sec = merged["output"]
-    _reject_unknown(sec, "output", set(DEFAULTS["output"]))
-    d = DEFAULTS["output"]
-    grid_n = _integer(sec, "output", "grid_n", default=d["grid_n"])
-    if grid_n < 2:
-        raise ScenarioValidationError("output.grid_n", "must be at least 2")
-    window = _number(sec, "output", "map_window", default=d["map_window"], allow_none=True)
-    if window is not None:
-        _positive(window, "output.map_window")
-
+    array, beam, safety, econ = (values[name] for name in ("array", "beam", "safety", "econ"))
     return Scenario(
-        rf=rf, aperture_diameter=aperture, element_spacing=spacing,
-        fill_fraction=fill, seed=seed, beam_target=target,
-        beam_input_power=input_power, chain=chain, aircraft=aircraft,
-        network=network, plan=plan, cost=cost, farm_area=farm_area,
-        surface_density_limit=surface_limit,
-        reflected_density_limit=reflected_limit,
-        territory_area_km2=territory, econ_coverage_fractions=tuple(econ_cov),
-        econ_farm_area_km2=econ_farm, grid_n=grid_n, map_window=window,
+        rf=values["rf"], aperture_diameter=array["aperture_diameter"],
+        element_spacing=array["spacing"], fill_fraction=array["fill_fraction"],
+        seed=array["seed"], beam_target=beam["target"],
+        beam_input_power=beam["input_power"], chain=values["chain"],
+        aircraft=values["aircraft"], network=values["network"], plan=values["plan"],
+        cost=values["cost"], farm_area=safety["farm_area"],
+        surface_density_limit=safety["surface_density_limit"],
+        reflected_density_limit=safety["reflected_density_limit"],
+        territory_area_km2=econ["territory_area_km2"],
+        econ_coverage_fractions=econ["coverage_fraction"],
+        econ_farm_area_km2=econ["farm_area_km2"],
+        grid_n=values["output"]["grid_n"], map_window=values["output"]["map_window"],
     )
 
 

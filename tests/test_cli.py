@@ -5,6 +5,8 @@ import json
 import pytest
 
 from skybeam.cli import main
+from skybeam.field import ObservationGrid
+from skybeam.scenario import MAX_MAP_POINTS
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,42 @@ def test_exit_code_non_finite_and_step_cap(tmp_path, capsys, text, field_path):
     assert code == 4
     assert field_path in err
     assert not (tmp_path / "mission_trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, scenario, field_path", [
+    ("spot", {"rf": {"wavelength": 1e-300}}, "rf.wavelength"),
+    ("spot", {"rf": {"frequency": 1e-300}}, "rf.frequency"),
+    ("econ", {"cost": {"panel_cost": 0}}, "cost.panel_cost"),
+    ("coverage", {"plan": {"waypoints": [[0, 0, 1e4], [0, 0, 1e4], [1e5, 0, 1e4]]}},
+     "plan.waypoints[1]"),
+    ("spot", {"beam": {"target": [0, 0, 1e-200]}}, "beam.target"),
+])
+def test_exit_code_for_inputs_that_used_to_escape(tmp_path, capsys, command, scenario,
+                                                  field_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--scenario", str(bad), "--out", str(tmp_path))
+    assert code == 4
+    assert err.startswith(f"error: {field_path}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("huge", [MAX_MAP_POINTS, 10**400])
+def test_map_point_cap_rejects_before_any_grid(tmp_path, capsys, monkeypatch, huge):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built before the map-point cap was checked")
+
+    monkeypatch.setattr(ObservationGrid, "horizontal", refuse)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"output": {"grid_n": huge}}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "beam-map", "--scenario", str(big), "--out", str(tmp_path))
+    assert code == 4
+    assert "output.grid_n: must be at most 2000" in err
+    code, _, err = run_cli(capsys, "beam-map", "--scenario", "spot_scaled",
+                           "--out", str(tmp_path), "--grid-n", str(huge))
+    assert code == 4
+    assert "--grid-n: must be at most 2000" in err
+    assert not (tmp_path / "beam_map.csv").exists()
 
 
 def test_reports_are_deterministic(capsys):

@@ -221,6 +221,14 @@ BOUNDS = [
     ("output.grid_n", 1, "must be at least 2", 2, {}),
     ("output.grid_n", 2.0, "must be an integer", 2, {}),
     ("output.map_window", 0.0, "must be positive", TINY, {}),
+    # bounds whose inputs used to escape as exit 1 or a traceback
+    ("rf.wavelength", 1e-300, "is too small: the frequency overflows", 1e-299, {}),
+    ("rf.frequency", 1e-300, "is too small: the wavelength overflows", 1e-299,
+     {"array": {"spacing": 1.0}, "beam": {"target": [0, 0, 1e308]}}),
+    ("beam.target", [0.0, 0.0, 0.1], "altitude (third entry) must exceed the wavelength",
+     [0.0, 0.0, math.nextafter(0.1, 1.0)], {}),
+    ("cost.panel_cost", 0.0, "must be positive when rf_uplift is null", TINY, {}),
+    ("output.grid_n", 2001, "must be at most 2000 (a map of 4000000 points)", 2000, {}),
 ]
 
 
@@ -284,3 +292,16 @@ def test_check_order(data, path):
     with pytest.raises(ScenarioValidationError) as err:
         sb.scenario_from_dict(data)
     assert err.value.field_path == path
+
+
+@pytest.mark.parametrize("waypoints, path", [
+    ([[0, 0, 1e4], [0, 0, 1e4], [1e5, 0, 1e4]], "plan.waypoints[1]"),
+    ([[0, 0, 1e4], [1e5, 0, 1e4], [1e5, 0, 1e4]], "plan.waypoints[2]"),
+    # a segment whose length underflows to zero, as the mission measures it
+    ([[0, 0, 1e4], [1e-320, 0, 1e4], [1e5, 0, 1e4]], "plan.waypoints[1]"),
+])
+def test_repeated_waypoint_rejected(waypoints, path):
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+    assert str(err.value) == f"{path}: must differ from the previous waypoint"
+

@@ -1,34 +1,29 @@
 """Command-line front end: scenario in, deterministic reports and grids out.
 
 Subcommands: spot, beam-map, link, coverage, econ, safety. Exit codes:
-0 ok, 1 runtime error, 2 missing scenario file, 3 parse error, 4 validation
-error. Identical scenario and seed give byte-identical outputs; --threads
-changes speed only.
+0 ok, otherwise the `exit_code` of the error raised (errors.py): 1 runtime
+error, 2 missing scenario file, 3 parse error, 4 validation error; argparse
+exits 2 on a bad command line. Identical scenario and seed give
+byte-identical outputs; --threads changes speed only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import economics as econ
 from . import link as link_mod
-from .errors import (ScenarioFileError, ScenarioParseError,
-                     ScenarioValidationError, SkybeamError)
-from .field import (ObservationGrid, evaluate_field_fast, focus_command,
-                    first_null_spot_diameter, measure_first_null_radius,
-                    spot_report)
+from .errors import ScenarioValidationError, SkybeamError
+from .field import (ObservationGrid, airy_peak_density, evaluate_field_fast,
+                    focus_command, first_null_spot_diameter,
+                    measure_first_null_radius, spot_report)
 from .mission import (FarmNetwork, cruise_power, mission_summary,
                       simulate_mission)
-from .scenario import MAX_MAP_ELEMENTS, Scenario, check_grid_n, parse_scenario
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+from .scenario import MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario
 
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool, title: str) -> str:
@@ -36,13 +31,20 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool, title: str) -> str:
         return json.dumps({k: v for k, v in pairs}, indent=2, sort_keys=True) + "\n"
     width = max(len(k) for k, _ in pairs)
     lines = [f"# {title}"]
-    lines += [f"{k.ljust(width)} = {_fmt(v)}" for k, v in pairs]
+    lines += [f"{k.ljust(width)} = {format(v, '.10g') if isinstance(v, float) else v}"
+              for k, v in pairs]
     return "\n".join(lines) + "\n"
 
 
 def cmd_spot(scn: Scenario, args) -> str:
-    report = spot_report(scn.aperture_diameter, scn.rf,
-                         float(scn.beam_target[2]), scn.radiated_power())
+    range_m, power = float(scn.beam_target[2]), scn.radiated_power()
+    # an extreme wavelength x altitude product over- or underflows the closed forms
+    peak = airy_peak_density(power, scn.aperture_diameter, scn.rf, range_m)
+    if not 0.0 < peak < math.inf:
+        raise ScenarioValidationError(
+            "beam.target", f"gives a closed-form peak density of {peak:.3g} W/m^2; "
+            "it must be finite and positive")
+    report = spot_report(scn.aperture_diameter, scn.rf, range_m, power)
     fn = report.first_null_diameter
     pairs = [
         ("aperture_diameter_m", scn.aperture_diameter),
@@ -63,11 +65,9 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         raise SkybeamError(
             f"array too large for a map run (~{scn.estimated_element_count():.3g} "
             "elements); use a scaled scenario such as spot_scaled")
-    if args.grid_n:
-        check_grid_n(args.grid_n, "--grid-n")
+    grid_n = scn.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
     command = focus_command(layout, scn.rf, scn.beam_target, scn.radiated_power())
-    grid_n = args.grid_n if args.grid_n else scn.grid_n
     window = scn.map_window
     if window is None:
         spot = first_null_spot_diameter(layout.aperture_diameter, scn.rf,
@@ -97,20 +97,32 @@ def cmd_beam_map(scn: Scenario, args) -> str:
     return _emit(pairs, args.format == "json", "beam map")
 
 
-def _safety_densities(scn: Scenario) -> tuple[float, float, float]:
-    """Farm surface density, reflected spot diameter and reflected ground density."""
+def _safety_lines(scn: Scenario) -> tuple[list, float, list]:
+    """Report lines of the surface-density check, the reflected spot diameter
+    and report lines of the reflected-density check."""
     surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
     range_m = float(scn.beam_target[2])
     spot = 2.0 * first_null_spot_diameter(scn.aperture_diameter, scn.rf, range_m)
     reflected = link_mod.reflected_ground_density(scn.radiated_power(), spot, scn.rf,
                                                   range_m)
-    return surface, spot, reflected
+    limit = scn.reflected_density_limit
+    return [
+        ("farm_surface_density_W_per_m2", surface),
+        ("surface_density_limit_W_per_m2", scn.surface_density_limit),
+        ("surface_density_check",
+         "PASS" if surface <= scn.surface_density_limit else "FAIL"),
+    ], spot, [
+        ("reflected_ground_density_W_per_m2", reflected),
+        ("reflected_density_check",
+         "REPORTED (no configured limit; simple aperture re-radiation model)"
+         if limit is None else "PASS" if reflected <= limit else "FAIL"),
+    ]
 
 
 def cmd_link(scn: Scenario, args) -> str:
     chain = scn.chain
     delivered = link_mod.delivered_power(scn.beam_input_power, chain)
-    surface, _, reflected = _safety_densities(scn)
+    surface, _, reflected = _safety_lines(scn)
     pairs = [
         ("input_power_W", scn.beam_input_power),
         ("stage_dc_to_rf", chain.dc_to_rf),
@@ -120,21 +132,9 @@ def cmd_link(scn: Scenario, args) -> str:
         ("end_to_end_efficiency", chain.end_to_end),
         ("radiated_power_W", scn.radiated_power()),
         ("delivered_power_W", delivered),
-        ("farm_surface_density_W_per_m2", surface),
-        ("surface_density_limit_W_per_m2", scn.surface_density_limit),
-        ("surface_density_check",
-         "PASS" if surface <= scn.surface_density_limit else "FAIL"),
-        ("reflected_ground_density_W_per_m2", reflected),
-        ("reflected_density_check",
-         _reflected_check(reflected, scn.reflected_density_limit)),
+        *surface, *reflected,
     ]
     return _emit(pairs, args.format == "json", "link budget")
-
-
-def _reflected_check(value: float, limit: float | None) -> str:
-    if limit is None:
-        return "REPORTED (no configured limit; simple aperture re-radiation model)"
-    return "PASS" if value <= limit else "FAIL"
 
 
 def cmd_coverage(scn: Scenario, args) -> str:
@@ -203,19 +203,14 @@ def cmd_econ(scn: Scenario, args) -> str:
 
 
 def cmd_safety(scn: Scenario, args) -> str:
-    surface, spot, reflected = _safety_densities(scn)
+    surface, spot, reflected = _safety_lines(scn)
     pairs = [
         ("input_power_W", scn.beam_input_power),
         ("farm_area_m2", scn.farm_area),
-        ("farm_surface_density_W_per_m2", surface),
-        ("surface_density_limit_W_per_m2", scn.surface_density_limit),
-        ("surface_density_check",
-         "PASS" if surface <= scn.surface_density_limit else "FAIL"),
+        *surface,
         ("worst_case_reflected_power_W", scn.radiated_power()),
         ("reflected_spot_diameter_m", spot),
-        ("reflected_ground_density_W_per_m2", reflected),
-        ("reflected_density_check",
-         _reflected_check(reflected, scn.reflected_density_limit)),
+        *reflected,
     ]
     return _emit(pairs, args.format == "json", "safety densities")
 
@@ -234,20 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skybeam",
         description="Solar-farm phased-array power-beaming feasibility tool")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--scenario", default="a320_baseline",
-                       help="scenario JSON path or bundled scenario name")
-        p.add_argument("--out", default=".", help="output directory for files")
-        p.add_argument("--grid-n", type=int, default=0,
-                       help="override map sample count per axis")
-        p.add_argument("--threads", type=int, default=1,
-                       help="field-evaluation worker threads (speed only)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="report format: csv = aligned text, json = JSON")
-        p.add_argument("--binary", action="store_true",
-                       help="also write the raw binary grid dump (beam-map)")
+    parser.add_argument("command", choices=_COMMANDS, help="report to produce")
+    parser.add_argument("--scenario", default="a320_baseline",
+                        help="scenario JSON path or bundled scenario name")
+    parser.add_argument("--out", default=".", help="output directory for files")
+    parser.add_argument("--grid-n", type=int, default=None,
+                        help="override map sample count per axis")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="field-evaluation worker threads (speed only)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format: csv = aligned text, json = JSON")
+    parser.add_argument("--binary", action="store_true",
+                        help="also write the raw binary grid dump (beam-map)")
     return parser
 
 
@@ -256,18 +249,9 @@ def main(argv=None) -> int:
     try:
         scn = parse_scenario(args.scenario)
         text = _COMMANDS[args.command](scn, args)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ScenarioValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SkybeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     sys.stdout.write(text)
     return 0
 

@@ -1,4 +1,5 @@
-"""Core domain types: RF carrier, element layout of the farm, beam command."""
+"""Core domain types: RF carrier, element layout of the farm, beam command;
+and the CSV row writer behind the map and mission-trace files."""
 
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ from .constants import SPEED_OF_LIGHT
 from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
+
+# Rows per slice of write_csv, which holds one slice's cell strings at a time.
+_CSV_ROWS = 4096
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -189,3 +193,19 @@ class BeamCommand:
         phases = _frozen(np.mod(phases, TWO_PI))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "phases", phases)
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write a header line, then row k of the equal-length `columns` per line.
+
+    A float cell is the repr of the Python float (shortest round-trip form),
+    an integer cell its decimal digits and a string cell itself; lines end in
+    LF. Cells are formatted a column and a slice of rows at a time.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for a in range(0, len(columns[0]), _CSV_ROWS):
+            cells = [col[a:a + _CSV_ROWS] for col in columns]
+            cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
+                     if isinstance(c, np.ndarray) else c for c in cells]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

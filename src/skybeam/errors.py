@@ -1,8 +1,10 @@
-"""Exception hierarchy. Scenario-file errors map onto distinct CLI exit codes."""
+"""Exception hierarchy. Each class carries the CLI exit code it ends a run with."""
 
 
 class SkybeamError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class InvalidArgumentError(SkybeamError, ValueError):
@@ -22,15 +24,21 @@ class NoVisiblePanelError(SkybeamError):
 
 
 class ScenarioFileError(SkybeamError):
-    """Scenario file missing or unreadable (CLI exit code 2)."""
+    """Scenario file missing or unreadable."""
+
+    exit_code = 2
 
 
 class ScenarioParseError(SkybeamError):
-    """Scenario file is not well-formed JSON (CLI exit code 3)."""
+    """Scenario file is not well-formed JSON."""
+
+    exit_code = 3
 
 
 class ScenarioValidationError(SkybeamError):
-    """Scenario contents violate a field constraint (CLI exit code 4)."""
+    """Scenario contents violate a field constraint."""
+
+    exit_code = 4
 
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path

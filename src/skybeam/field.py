@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .core import TWO_PI, ArrayLayout, BeamCommand, RfSpec
+from .core import TWO_PI, ArrayLayout, BeamCommand, RfSpec, write_csv
 from .errors import (DegenerateGeometryError, InvalidArgumentError,
                      NearFieldWarning, ResolutionError)
 
@@ -49,10 +49,17 @@ SPOT_DIAMETER_FACTOR = 1.22
 PATTERN_COSINE = "cosine"
 PATTERN_ISOTROPIC = "isotropic"
 
-# Grid points per evaluation block. Fixed (never derived from the thread
-# count) so block boundaries, and therefore results, are bit-stable no matter
-# how the work is parallelized.
-_CHUNK = 256
+# Element-points per evaluation block: each (points x elements) temporary of
+# a block holds at most this many values, or one point's row for a larger
+# array. The block height comes from the element count only (never from the
+# thread count), so block boundaries, and therefore results, are bit-stable
+# no matter how the work is parallelized.
+_BLOCK_ELEMENT_POINTS = 16384
+
+
+def _block_points(n_elements: int) -> int:
+    """Grid points per evaluation block for an array of n_elements."""
+    return max(1, _BLOCK_ELEMENT_POINTS // n_elements)
 
 
 def matched_element_spacing(rf: RfSpec) -> float:
@@ -92,16 +99,9 @@ def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
 
 
 def focus_command(layout: ArrayLayout, rf: RfSpec, target,
-                  total_radiated_power: Optional[float] = None,
-                  phase_bits: Optional[int] = None) -> BeamCommand:
-    """BeamCommand focused on target.
-
-    Power defaults to element_amplitude x active count; phase_bits applies
-    optional phase-shifter quantization.
-    """
+                  total_radiated_power: Optional[float] = None) -> BeamCommand:
+    """BeamCommand focused on target; power defaults to element_amplitude x active count."""
     phases = solve_focus_phases(layout, rf, target)
-    if phase_bits is not None:
-        phases = quantize_phases(phases, phase_bits)
     if total_radiated_power is None:
         total_radiated_power = layout.element_amplitude * layout.n_active
     return BeamCommand(np.asarray(target, dtype=float), total_radiated_power, phases)
@@ -113,43 +113,32 @@ def focus_command(layout: ArrayLayout, rf: RfSpec, target,
 
 @dataclass(frozen=True)
 class ObservationGrid:
-    """Rectangular sampling grid on a plane, centered at `center`.
+    """Rectangular sampling grid on the horizontal plane through `center`.
 
-    Sample (iv, iu) sits at center + (iu - (n_u-1)/2) * spacing * axis_u
-    + (iv - (n_v-1)/2) * spacing * axis_v; rows run along axis_u.
+    Sample (iv, iu) sits at center + ((iu - (n_u-1)/2) * spacing,
+    (iv - (n_v-1)/2) * spacing, 0); rows run along x.
     """
 
     center: np.ndarray
-    axis_u: np.ndarray
-    axis_v: np.ndarray
     n_u: int
     n_v: int
     spacing: float
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float)
-        u = np.array(self.axis_u, dtype=float)
-        v = np.array(self.axis_v, dtype=float)
-        if center.shape != (3,) or u.shape != (3,) or v.shape != (3,):
-            raise InvalidArgumentError("center and axes must be 3-D vectors")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise InvalidArgumentError("grid axes must be unit vectors")
+        if center.shape != (3,):
+            raise InvalidArgumentError("center must be a 3-D vector")
         if self.n_u < 2 or self.n_v < 2:
             raise InvalidArgumentError("grid needs at least 2 samples per axis")
         if self.spacing <= 0.0:
             raise InvalidArgumentError("grid spacing must be positive")
-        for name, arr in (("center", center), ("axis_u", u), ("axis_v", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        center.setflags(write=False)
+        object.__setattr__(self, "center", center)
 
     @classmethod
     def horizontal(cls, center, n: int, width: float) -> "ObservationGrid":
         """Square n x n grid on the horizontal plane through center, width [m] across."""
-        if n < 2:
-            raise InvalidArgumentError("grid needs at least 2 samples per axis")
-        return cls(np.asarray(center, dtype=float),
-                   np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                   n, n, width / (n - 1))
+        return cls(center, n, n, width / max(n - 1, 1))     # n < 2 fails __post_init__
 
     @property
     def u_offsets(self) -> np.ndarray:
@@ -161,9 +150,11 @@ class ObservationGrid:
 
     def points(self) -> np.ndarray:
         """All samples as an (n_v * n_u, 3) array, row-major over (v, u)."""
-        uu = self.u_offsets[None, :, None] * self.axis_u[None, None, :]
-        vv = self.v_offsets[:, None, None] * self.axis_v[None, None, :]
-        return (self.center[None, None, :] + uu + vv).reshape(-1, 3)
+        pts = np.empty((self.n_v, self.n_u, 3))
+        pts[:, :, 0] = self.center[0] + self.u_offsets
+        pts[:, :, 1] = (self.center[1] + self.v_offsets)[:, None]
+        pts[:, :, 2] = self.center[2]
+        return pts.reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -189,21 +180,14 @@ class FieldMap:
             object.__setattr__(self, name, arr)
 
     @property
-    def cell_area(self) -> float:
-        return self.grid.spacing ** 2
-
-    @property
     def peak_density(self) -> float:
         return float(self.power_density.max())
 
     def to_csv(self, path) -> None:
         """Write `x_m,y_m,z_m,power_density_W_per_m2` rows (one header line)."""
         pts = self.grid.points()
-        dens = self.power_density.reshape(-1)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x_m,y_m,z_m,power_density_W_per_m2\n")
-            for (x, y, z), d in zip(pts, dens):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(z)!r},{float(d)!r}\n")
+        write_csv(path, "x_m,y_m,z_m,power_density_W_per_m2",
+                  [pts[:, 0], pts[:, 1], pts[:, 2], self.power_density.reshape(-1)])
 
     def to_binary(self, path) -> None:
         """Raw density dump: 16-byte header (two little-endian int64 dims n_v,
@@ -320,8 +304,9 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
                         pattern: str = PATTERN_COSINE) -> FieldMap:
     """FieldMap over `grid`; same contract as the oracle, vectorized and threaded.
 
-    Points are processed in fixed-size blocks, each summed over elements in
-    layout order, so results are bit-identical for any thread count.
+    Points are processed in blocks of about _BLOCK_ELEMENT_POINTS
+    element-points, each summed over elements in layout order, so results are
+    bit-identical for any thread count.
 
     Parameters
     ----------
@@ -337,12 +322,11 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
     if pos.shape[0] > 0:
         _check_phases(layout, command)
         p_scale = command.total_radiated_power / pos.shape[0] / (4.0 * math.pi)
-        ex = np.ascontiguousarray(pos[:, 0])
-        ey = np.ascontiguousarray(pos[:, 1])
-        ez = np.ascontiguousarray(pos[:, 2])
+        ex, ey, ez = np.ascontiguousarray(pos.T)
         phases = command.phases
         k = rf.wavenumber
-        bounds = [(a, min(a + _CHUNK, n_pts)) for a in range(0, n_pts, _CHUNK)]
+        step = _block_points(pos.shape[0])
+        bounds = [(a, min(a + step, n_pts)) for a in range(0, n_pts, step)]
         min_rs = np.empty(len(bounds))
 
         def run(block_idx: int) -> None:
@@ -397,9 +381,7 @@ def encircled_energy(fmap: FieldMap, center, disk_diameter: float,
             f"disk {disk_diameter:.4g} m spans fewer than 8 grid samples "
             f"(spacing {grid.spacing:.4g} m)")
     center = np.asarray(center, dtype=float)
-    offset = center - grid.center
-    cu = float(offset @ grid.axis_u)
-    cv = float(offset @ grid.axis_v)
+    cu, cv = (float(c) for c in (center - grid.center)[:2])
     radius = 0.5 * disk_diameter
     half_u = (grid.n_u - 1) / 2.0 * grid.spacing
     half_v = (grid.n_v - 1) / 2.0 * grid.spacing
@@ -408,7 +390,7 @@ def encircled_energy(fmap: FieldMap, center, disk_diameter: float,
     du = fmap.grid.u_offsets[None, :] - cu
     dv = fmap.grid.v_offsets[:, None] - cv
     mask = du * du + dv * dv <= radius * radius
-    return float(fmap.power_density[mask].sum() * fmap.cell_area / total_power)
+    return float(fmap.power_density[mask].sum() * grid.spacing ** 2 / total_power)
 
 
 def measure_first_null_radius(fmap: FieldMap) -> float:
@@ -443,9 +425,13 @@ def airy_encircled_fraction(disk_diameter: float, aperture_diameter: float,
 
 def airy_peak_density(radiated_power: float, aperture_diameter: float,
                       rf: RfSpec, range_m: float) -> float:
-    """On-axis power density P * A / (lambda * R)^2 of the focused aperture [W/m^2]."""
+    """On-axis power density P * A / (lambda * R)^2 of the focused aperture [W/m^2].
+
+    Infinite when (lambda * R)^2 underflows to zero.
+    """
     area = math.pi * (0.5 * aperture_diameter) ** 2
-    return radiated_power * area / (rf.wavelength * range_m) ** 2
+    spread = (rf.wavelength * range_m) ** 2
+    return radiated_power * area / spread if spread > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import JET_FUEL_SPECIFIC_ENERGY, STANDARD_GRAVITY
+from .core import write_csv
 from .errors import InvalidArgumentError, NoVisiblePanelError
 from .link import EfficiencyChain, ReceiverPanel, best_panel, default_panels, level_attitude
 
@@ -232,18 +233,11 @@ class MissionTrace:
 
     def to_csv(self, path) -> None:
         """Write the per-step trace columns (one header line, LF endings)."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t_s,x_m,y_m,z_m,farm_id,slant_m,scan_deg,panel,cosine,"
-                     "delivered_W,fuel_rate_kg_s,fuel_kg\n")
-            for k in range(self.n_steps):
-                x, y, z = (float(v) for v in self.positions[k])
-                fh.write(f"{float(self.times[k])!r},{x!r},{y!r},{z!r},"
-                         f"{int(self.farm_index[k])},{float(self.slant_m[k])!r},"
-                         f"{float(self.scan_deg[k])!r},{self.panel[k]},"
-                         f"{float(self.cosine[k])!r},"
-                         f"{float(self.delivered_w[k])!r},"
-                         f"{float(self.fuel_rate_kg_s[k])!r},"
-                         f"{float(self.fuel_kg[k])!r}\n")
+        write_csv(path, "t_s,x_m,y_m,z_m,farm_id,slant_m,scan_deg,panel,cosine,"
+                  "delivered_W,fuel_rate_kg_s,fuel_kg",
+                  [self.times, *self.positions.T, self.farm_index, self.slant_m,
+                   self.scan_deg, self.panel, self.cosine, self.delivered_w,
+                   self.fuel_rate_kg_s, self.fuel_kg])
 
 
 def coverage_fraction(trace: MissionTrace, threshold: float = 0.95) -> float:

@@ -27,9 +27,9 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .core import ArrayLayout, RfSpec, make_planar_array
 from .economics import CostModel
-from .errors import (ScenarioFileError, ScenarioParseError,
+from .errors import (InvalidArgumentError, ScenarioFileError, ScenarioParseError,
                      ScenarioValidationError)
-from .link import EfficiencyChain, ReceiverPanel, default_panels
+from .link import EfficiencyChain, ReceiverPanel, default_panels, level_attitude
 from .mission import Aircraft, FarmNetwork, FlightPlan
 
 _SECTIONS = ("rf", "array", "beam", "chain", "aircraft", "network", "plan",
@@ -120,19 +120,16 @@ def _integer(value, path: str, values=None) -> int:
     return value
 
 
-def check_grid_n(grid_n: int, path: str) -> None:
-    """Refuse a map of more than MAX_MAP_POINTS points (grid_n per side)."""
+def map_grid_n(value, path: str, values=None) -> int:
+    """Map samples per side, for `output.grid_n` and `--grid-n` alike: an
+    integer from 2 up to a map of MAX_MAP_POINTS points."""
+    grid_n = _integer(value, path)
+    if grid_n < 2:
+        raise ScenarioValidationError(path, "must be at least 2")
     side = math.isqrt(MAX_MAP_POINTS)
     if grid_n > side:
         raise ScenarioValidationError(
             path, f"must be at most {side} (a map of {MAX_MAP_POINTS} points)")
-
-
-def _grid_n(value, path: str, values=None) -> int:
-    grid_n = _integer(value, path)
-    if grid_n < 2:
-        raise ScenarioValidationError(path, "must be at least 2")
-    check_grid_n(grid_n, path)
     return grid_n
 
 
@@ -219,9 +216,18 @@ def _waypoints(value, path: str, values) -> np.ndarray:
         wp = [_finite(v, wp_path) for v in wp]
         if wp[2] <= 0.0:
             raise ScenarioValidationError(wp_path, "altitude must be positive")
-        # a zero-length segment, measured as the mission measures segments
-        if wps and np.linalg.norm(np.subtract(wp, wps[-1])) <= 0.0:
-            raise ScenarioValidationError(wp_path, "must differ from the previous waypoint")
+        if wps:
+            delta = np.subtract(wp, wps[-1])
+            # a zero-length segment, measured as the mission measures segments
+            if np.linalg.norm(delta) <= 0.0:
+                raise ScenarioValidationError(wp_path, "must differ from the previous waypoint")
+            # the mission flies each segment level along its horizontal heading
+            try:
+                level_attitude(delta[:2])
+            except InvalidArgumentError:
+                raise ScenarioValidationError(
+                    wp_path, "must not be straight above or below the previous waypoint"
+                ) from None
         wps.append(wp)
     return np.asarray(wps, dtype=float)
 
@@ -276,7 +282,7 @@ _FIELDS = (
     ("econ", "territory_area_km2", 8.08e6, POSITIVE),
     ("econ", "coverage_fraction", 0.001, _coverage),
     ("econ", "farm_area_km2", 1.0, POSITIVE),
-    ("output", "grid_n", 101, _grid_n),
+    ("output", "grid_n", 101, map_grid_n),
     ("output", "map_window", None, OPTIONAL_POSITIVE),
 )
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from skybeam.cli import main
+from skybeam import cli, errors
+from skybeam.cli import build_parser, main
 from skybeam.field import ObservationGrid
 from skybeam.scenario import MAX_MAP_POINTS
 
@@ -195,3 +196,82 @@ def test_reports_are_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_parser_accepts_every_option_with_every_command(command):
+    args = build_parser().parse_args([
+        command, "--scenario", "s.json", "--out", "o", "--grid-n", "7",
+        "--threads", "3", "--format", "json", "--binary"])
+    assert vars(args) == {"command": command, "scenario": "s.json", "out": "o",
+                          "grid_n": 7, "threads": 3, "format": "json", "binary": True}
+    defaults = build_parser().parse_args([command])
+    assert vars(defaults) == {"command": command, "scenario": "a320_baseline", "out": ".",
+                              "grid_n": None, "threads": 1, "format": "csv",
+                              "binary": False}
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], [], ["spot", "--format", "xml"],
+                                  ["spot", "extra"]])
+def test_parser_rejects_bad_command_lines(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: skybeam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.SkybeamError("boom"), 1),
+    (errors.InvalidArgumentError("boom"), 1),
+    (errors.DegenerateGeometryError("boom"), 1),
+    (errors.ResolutionError("boom"), 1),
+    (errors.NoVisiblePanelError("boom"), 1),
+    (errors.ScenarioFileError("boom"), 2),
+    (errors.ScenarioParseError("boom"), 3),
+    (errors.ScenarioValidationError("a.b", "boom"), 4),
+])
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
+    def fail(scn, args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "econ", fail)
+    assert type(error).exit_code == code
+    assert run_cli(capsys, "econ") == (code, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("grid_n, message", [
+    ("1", "must be at least 2"), ("-3", "must be at least 2"), ("0", "must be at least 2"),
+    ("2001", "must be at most 2000 (a map of 4000000 points)"),
+])
+def test_grid_n_flag_has_the_output_grid_n_bounds(tmp_path, capsys, grid_n, message):
+    code, out, err = run_cli(capsys, "beam-map", "--scenario", "spot_scaled",
+                             "--out", str(tmp_path), "--grid-n", grid_n)
+    assert (code, out, err) == (4, "", f"error: --grid-n: {message}\n")
+    assert not (tmp_path / "beam_map.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", [
+    {"rf": {"wavelength": 1e-200}},                              # (lambda R)^2 underflows
+    {"rf": {"wavelength": 1e-80}, "beam": {"target": [0, 0, 1e-79]}},   # peak overflows
+    {"rf": {"frequency": 1e-299}, "array": {"spacing": 1.0},
+     "beam": {"target": [0, 0, 1e308]}},                         # lambda R overflows
+])
+def test_spot_refuses_a_peak_density_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                    scenario):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run_cli(capsys, "spot", "--scenario", str(bad))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: beam.target: gives a closed-form peak density of ")
+    assert err.endswith("W/m^2; it must be finite and positive\n")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_vertical_route_segment_exits_4_for_every_command(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"plan": {"waypoints": [[0, 0, 1e4], [0, 0, 2e4],
+                                                      [1e5, 0, 1e4]]}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--scenario", str(bad), "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err == ("error: plan.waypoints[1]: must not be straight above or below "
+                   "the previous waypoint\n")

@@ -161,6 +161,30 @@ def test_fast_bit_stable_across_threads(rf10cm):
         assert np.array_equal(maps[0].power_density, other.power_density)
 
 
+@pytest.mark.parametrize("diameter, n", [(0.65, 41), (3.0, 41), (7.5, 5)])
+def test_field_blocks_hold_a_bounded_number_of_element_points(rf10cm, monkeypatch,
+                                                              diameter, n):
+    layout = sb.make_planar_array(diameter, 0.05)
+    cmd = sb.focus_command(layout, rf10cm, [0.0, 0.0, 150.0], 1.0)
+    grid = sb.ObservationGrid.horizontal([0.0, 0.0, 150.0], n, 20.0)
+    blocks = []
+    real_block = field._field_block
+
+    def spy(pts, ex, *rest):
+        blocks.append(pts.shape[0])
+        return real_block(pts, ex, *rest)
+
+    monkeypatch.setattr(field, "_field_block", spy)
+    fmap = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
+    rows = field._block_points(layout.n_active)
+    assert rows * layout.n_active <= field._BLOCK_ELEMENT_POINTS or rows == 1
+    assert blocks[:-1] == [rows] * (len(blocks) - 1) and sum(blocks) == n * n
+    # the block height changes nothing: 256-point blocks give the same bits
+    monkeypatch.setattr(field, "_block_points", lambda n_elements: 256)
+    wide = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
+    assert np.array_equal(fmap.complex_field, wide.complex_field)
+
+
 def test_empty_fill_mask_gives_zero_field(rf10cm):
     pos = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
     layout = sb.ArrayLayout(pos, 0.05, 0.1, np.zeros(2, bool))
@@ -206,7 +230,7 @@ def test_fast_thread_count_is_clamped(rf10cm, monkeypatch):
     layout = sb.make_planar_array(0.65, 0.05)
     cmd = sb.focus_command(layout, rf10cm, [0.0, 0.0, 150.0], 1.0)
     grid = sb.ObservationGrid.horizontal([0.0, 0.0, 150.0], 41, 60.0)
-    blocks = math.ceil(41 * 41 / field._CHUNK)
+    blocks = math.ceil(41 * 41 / field._block_points(layout.n_active))
     assert blocks > 4
     serial = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
     for cpus, threads, workers in ((4, 10**9, 4), (64, 10**9, blocks), (None, 3, 1)):
@@ -366,6 +390,19 @@ def test_field_map_csv_format(tmp_path, rf10cm):
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[2]) == 50.0
     assert float(first[3]) == fmap.power_density[0, 0]
+
+
+def test_grid_points_lie_on_the_horizontal_plane_through_the_center():
+    grid = sb.ObservationGrid.horizontal([10.0, -4.0, 300.0], 3, 2.0)
+    assert np.array_equal(grid.points(), [
+        [9.0, -5.0, 300.0], [10.0, -5.0, 300.0], [11.0, -5.0, 300.0],
+        [9.0, -4.0, 300.0], [10.0, -4.0, 300.0], [11.0, -4.0, 300.0],
+        [9.0, -3.0, 300.0], [10.0, -3.0, 300.0], [11.0, -3.0, 300.0]])
+
+
+def test_airy_peak_density_is_infinite_when_the_spread_underflows():
+    rf = sb.RfSpec.from_wavelength(1e-200)
+    assert sb.airy_peak_density(1.0, 10.0, rf, 1e4) == math.inf
 
 
 def test_field_map_binary_format(tmp_path, rf10cm):

@@ -305,3 +305,20 @@ def test_repeated_waypoint_rejected(waypoints, path):
         sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
     assert str(err.value) == f"{path}: must differ from the previous waypoint"
 
+
+
+@pytest.mark.parametrize("waypoints, path", [
+    ([[0, 0, 1e4], [0, 0, 2e4], [1e5, 0, 1e4]], "plan.waypoints[1]"),
+    ([[0, 0, 1e4], [1e5, 0, 1e4], [1e5, 1e-13, 2e4]], "plan.waypoints[2]"),
+])
+def test_vertical_segment_rejected(waypoints, path):
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+    assert str(err.value) == (f"{path}: must not be straight above or below "
+                              "the previous waypoint")
+
+
+def test_nearly_vertical_segment_accepted():
+    # the smallest horizontal step level_attitude accepts as a heading
+    sb.scenario_from_dict({"plan": {"waypoints": [[0, 0, 1e4], [1e-12, 0, 2e4],
+                                                  [1e5, 0, 1e4]]}})

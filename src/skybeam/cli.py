@@ -23,7 +23,8 @@ from .field import (ObservationGrid, airy_peak_density, evaluate_field_fast,
                     measure_first_null_radius, spot_report)
 from .mission import (FarmNetwork, cruise_power, mission_summary,
                       simulate_mission)
-from .scenario import MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario
+from .scenario import (MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario,
+                       thread_count)
 
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool, title: str) -> str:
@@ -65,9 +66,14 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         raise SkybeamError(
             f"array too large for a map run (~{scn.estimated_element_count():.3g} "
             "elements); use a scaled scenario such as spot_scaled")
+    power = scn.radiated_power()
+    if not power > 0.0:
+        raise ScenarioValidationError(
+            "chain.dc_to_rf", f"gives a radiated power of {power:.3g} W "
+            "(beam.input_power x chain.dc_to_rf); a map needs a positive one")
     grid_n = scn.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
-    command = focus_command(layout, scn.rf, scn.beam_target, scn.radiated_power())
+    command = focus_command(layout, scn.rf, scn.beam_target, power)
     window = scn.map_window
     if window is None:
         spot = first_null_spot_diameter(layout.aperture_diameter, scn.rf,
@@ -190,10 +196,18 @@ def cmd_econ(scn: Scenario, args) -> str:
     ]
     # one farm-count row per configured coverage fraction
     single = len(scn.econ_coverage_fractions) == 1
-    for cov in scn.econ_coverage_fractions:
+    for idx, cov in enumerate(scn.econ_coverage_fractions):
         tag = "" if single else f"_at_{cov:g}"
         estimate = econ.farm_network_estimate(scn.territory_area_km2, cov,
                                               scn.econ_farm_area_km2)
+        # checked here, not in the field table: farm_area_km2 comes after it;
+        # a zero farm count has an infinite spacing
+        if not math.isfinite(estimate.mean_spacing_km):
+            raise ScenarioValidationError(
+                f"econ.coverage_fraction[{idx}]",
+                f"gives {estimate.farm_count:.3g} farms with a mean spacing of "
+                f"{estimate.mean_spacing_km:.3g} km; the count must be positive "
+                "and the spacing finite")
         pairs += [
             (f"territory_coverage_fraction{tag}", cov),
             (f"farm_count{tag}", estimate.farm_count),
@@ -247,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        thread_count(args.threads, "--threads")
         scn = parse_scenario(args.scenario)
         text = _COMMANDS[args.command](scn, args)
     except SkybeamError as exc:

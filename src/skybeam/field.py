@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .core import TWO_PI, ArrayLayout, BeamCommand, RfSpec, write_csv
 from .errors import (DegenerateGeometryError, InvalidArgumentError,
@@ -420,6 +419,9 @@ def airy_encircled_fraction(disk_diameter: float, aperture_diameter: float,
     x = math.pi * aperture_diameter * (0.5 * disk_diameter) / (rf.wavelength * range_m)
     if x == 0.0:
         return 0.0
+    # imported here, not at module level: this is the package's only use of
+    # scipy, which is slow to load, so commands other than `spot` start without it
+    from scipy import special
     return float(1.0 - special.j0(x) ** 2 - special.j1(x) ** 2)
 
 

@@ -133,6 +133,14 @@ def map_grid_n(value, path: str, values=None) -> int:
     return grid_n
 
 
+def thread_count(value, path: str) -> int:
+    """Field-evaluation worker threads (`--threads`): an integer of at least 1."""
+    threads = _integer(value, path)
+    if threads < 1:
+        raise ScenarioValidationError(path, "must be at least 1")
+    return threads
+
+
 def _vector(value, path: str, length: int) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioValidationError(path, f"must be a list of {length} numbers")

@@ -49,13 +49,29 @@ def airy_encircled_quad(x: float) -> float:
     return 0.5 * val
 
 
-def hemisphere_power_oracle(layout: sb.ArrayLayout, rf: sb.RfSpec,
-                            command: sb.BeamCommand, n_theta: int, n_phi: int,
-                            r: float = 10_000.0) -> float:
-    """Radiated power through the upper hemisphere of radius r.
+def ring_density(layout: sb.ArrayLayout, rf: sb.RfSpec, command: sb.BeamCommand,
+                 pts: np.ndarray) -> np.ndarray:
+    """Power density at each of the (m, 3) points, cosine element pattern.
 
-    Gauss-Legendre nodes in cos(theta), midpoint rule in phi, applied to the
-    direct-summation oracle density.
+    One (m x elements) direct sum with the arithmetic of
+    sb.evaluate_field_oracle, which takes one point at a time.
+    """
+    pos = layout.active_positions
+    d = pts[:, None, :] - pos[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=2))
+    gain = d[:, :, 2] / r
+    np.clip(gain, 0.0, None, out=gain)
+    gain *= 4.0
+    p_elem = command.total_radiated_power / pos.shape[0]
+    amp = np.sqrt(p_elem * gain / (4.0 * math.pi)) / r
+    field = np.add.reduce(amp * np.exp(1j * (rf.wavenumber * r + command.phases)), axis=1)
+    return np.abs(field) ** 2
+
+
+def hemisphere_rings(n_theta: int, n_phi: int, r: float):
+    """Rings of the upper hemisphere of radius r as (points, phi weight, cos weight).
+
+    Gauss-Legendre nodes in cos(theta), midpoint rule in phi.
     """
     nodes, wts = leggauss(n_theta)
     ct = 0.5 * (nodes + 1.0)
@@ -64,11 +80,18 @@ def hemisphere_power_oracle(layout: sb.ArrayLayout, rf: sb.RfSpec,
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     wp = 2.0 * np.pi / n_phi
     cp, sp = np.cos(phi), np.sin(phi)
-    total = 0.0
     for cti, sti, wi in zip(ct, st, wt):
-        pts = np.column_stack([r * sti * cp, r * sti * sp, np.full(n_phi, r * cti)])
-        _, dens = sb.evaluate_field_oracle(layout, rf, command, pts)
-        total += dens.sum() * wp * wi * r * r
+        yield np.column_stack([r * sti * cp, r * sti * sp, np.full(n_phi, r * cti)]), wp, wi
+
+
+def hemisphere_power_oracle(layout: sb.ArrayLayout, rf: sb.RfSpec,
+                            command: sb.BeamCommand, n_theta: int, n_phi: int,
+                            r: float = 10_000.0) -> float:
+    """Radiated power through the upper hemisphere of radius r: the direct-sum
+    density of each ring (ring_density) integrated over hemisphere_rings."""
+    total = 0.0
+    for pts, wp, wi in hemisphere_rings(n_theta, n_phi, r):
+        total += ring_density(layout, rf, command, pts).sum() * wp * wi * r * r
     return total
 
 

@@ -25,6 +25,7 @@ sparse irregular arrays are included as a second regime.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -35,8 +36,9 @@ import pytest
 import skybeam as sb
 from skybeam.cli import main as cli_main
 
-from conftest import (airy_encircled_quad, hemisphere_power_oracle,
-                      line_array_factor, random_disk_layout, square_grid_layout)
+from conftest import (airy_encircled_quad, hemisphere_power_oracle, hemisphere_rings,
+                      line_array_factor, random_disk_layout, ring_density,
+                      square_grid_layout)
 
 RF = sb.RfSpec.from_wavelength(0.1)
 FLAGSHIP_D = 1000.0
@@ -120,6 +122,29 @@ def test_criterion_2_encircled_energy():
             pytest.approx(first_null, rel=1e-12)
 
 
+def _conservation_cases():
+    """(name, layout, theta nodes, phi nodes) of the conservation check."""
+    cases = []
+    for seed in (11, 42):
+        cases.append(("29 sparse random", random_disk_layout(29, 8.0, seed), 260, 520))
+    cases.append(("89 matched grid",
+                  sb.make_planar_array(0.6, sb.matched_element_spacing(RF)), 200, 400))
+    cases.append(("64 sparse random", random_disk_layout(64, 12.0, 20240809), 400, 800))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_hemisphere_ring_density_matches_the_field_oracle(case):
+    """The conservation check's ring sum is the library's direct summation."""
+    name, lay, n_t, n_p = _conservation_cases()[case]
+    c = sb.focus_command(lay, RF, np.array([0.0, 0.0, FLAGSHIP_R]), 1.0)
+    rings = hemisphere_rings(n_t, n_p, FLAGSHIP_R)
+    pts, _, _ = next(itertools.islice(rings, n_t // 2, None))
+    _, expected = sb.evaluate_field_oracle(lay, RF, c, pts)
+    dens = ring_density(lay, RF, c, pts)
+    assert np.abs(dens - expected).max() / expected.max() <= 1e-12, name
+
+
 def test_criterion_3_oracle_equivalence_and_conservation():
     """Fast path vs direct summation; hemisphere energy conservation."""
     with criterion(3, "oracle equivalence and conservation"):
@@ -139,16 +164,7 @@ def test_criterion_3_oracle_equivalence_and_conservation():
         # conservation: commanded power out of the hemisphere within 2 %, for
         # arrays of <= 100 elements in the regimes where the scalar model
         # conserves energy (sparse irregular, and matched-pitch grids)
-        cases = []
-        for seed in (11, 42):
-            cases.append(("29 sparse random", random_disk_layout(29, 8.0, seed),
-                          260, 520))
-        cases.append(("89 matched grid",
-                      sb.make_planar_array(0.6, sb.matched_element_spacing(RF)),
-                      200, 400))
-        cases.append(("64 sparse random", random_disk_layout(64, 12.0, 20240809),
-                      400, 800))
-        for name, lay, n_t, n_p in cases:
+        for name, lay, n_t, n_p in _conservation_cases():
             assert lay.n_active <= 100
             c = sb.focus_command(lay, RF, target, 1.0)
             power = hemisphere_power_oracle(lay, RF, c, n_t, n_p, r=FLAGSHIP_R)

@@ -1,13 +1,18 @@
 """CLI subcommands: output formats, exit codes, deterministic emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skybeam
 from skybeam import cli, errors
 from skybeam.cli import build_parser, main
 from skybeam.field import ObservationGrid
-from skybeam.scenario import MAX_MAP_POINTS
+from skybeam.scenario import MAX_MAP_POINTS, Scenario, resolve_scenario_path
 
 
 def run_cli(capsys, *argv):
@@ -275,3 +280,87 @@ def test_vertical_route_segment_exits_4_for_every_command(tmp_path, capsys, comm
     assert (code, out) == (4, "")
     assert err == ("error: plan.waypoints[1]: must not be straight above or below "
                    "the previous waypoint\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_threads_below_one_exits_4_for_every_command(tmp_path, capsys, command, threads):
+    code, out, err = run_cli(capsys, command, "--scenario", "spot_scaled",
+                             "--out", str(tmp_path), "--threads", threads)
+    assert (code, out, err) == (4, "", "error: --threads: must be at least 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _scenario_file(tmp_path, base: str, **sections) -> str:
+    """A bundled scenario with some sections' fields replaced, written to a file."""
+    data = json.loads(resolve_scenario_path(base).read_text(encoding="utf-8"))
+    for name, fields in sections.items():
+        data.setdefault(name, {}).update(fields)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("coverage, index, count, spacing", [
+    (0, 0, "0", "inf"),
+    ([0.001, 1e-320], 1, "8.08e-314", "inf"),     # the spacing overflows
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_econ_refuses_a_coverage_fraction_with_no_farms(tmp_path, capsys, coverage, index,
+                                                       count, spacing, fmt):
+    path = _scenario_file(tmp_path, "a320_baseline", econ={"coverage_fraction": coverage})
+    code, out, err = run_cli(capsys, "econ", "--scenario", path, "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == (f"error: econ.coverage_fraction[{index}]: gives {count} farms with a "
+                   f"mean spacing of {spacing} km; the count must be positive and the "
+                   "spacing finite\n")
+
+
+@pytest.mark.parametrize("beam, chain, power", [
+    ({}, {"dc_to_rf": 0}, "0"),
+    ({"input_power": 1e-320}, {"dc_to_rf": 1e-10}, "0"),       # the product underflows
+])
+def test_beam_map_refuses_no_radiated_power_before_any_layout(tmp_path, capsys,
+                                                              monkeypatch, beam, chain,
+                                                              power):
+    path = _scenario_file(tmp_path, "spot_scaled", beam=beam, chain=chain)
+    for command in ("link", "safety"):
+        assert run_cli(capsys, command, "--scenario", path)[0] == 0
+
+    def refuse(self):
+        raise AssertionError("layout built before the radiated power was checked")
+
+    monkeypatch.setattr(Scenario, "build_layout", refuse)
+    out_dir = tmp_path / "maps"
+    code, out, err = run_cli(capsys, "beam-map", "--scenario", path, "--out", str(out_dir))
+    assert (code, out) == (4, "")
+    assert err == (f"error: chain.dc_to_rf: gives a radiated power of {power} W "
+                   "(beam.input_power x chain.dc_to_rf); a map needs a positive one\n")
+    assert not out_dir.exists()
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import skybeam, skybeam.cli
+OUT = sys.argv[1]
+loaded = {"import": "scipy" in sys.modules}
+for argv in (["link"], ["econ"], ["safety"], ["coverage", "--out", OUT],
+             ["beam-map", "--scenario", "spot_scaled", "--grid-n", "21", "--out", OUT],
+             ["spot"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert skybeam.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_spot_loads_scipy(tmp_path):
+    src = str(Path(skybeam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": False, "link": False, "econ": False,
+                                       "safety": False, "coverage": False,
+                                       "beam-map": False, "spot": True}

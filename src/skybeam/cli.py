@@ -10,6 +10,7 @@ byte-identical outputs; --threads changes speed only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,8 +38,19 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _radiated_power(scn: Scenario) -> float:
+    """The scenario's radiated power, refused unless positive (a zero stage or
+    an underflowing product gives none)."""
+    power = scn.radiated_power()
+    if not power > 0.0:
+        raise ScenarioValidationError(
+            "chain.dc_to_rf", f"gives a radiated power of {power:.3g} W "
+            "(beam.input_power x chain.dc_to_rf); it must be positive")
+    return power
+
+
 def cmd_spot(scn: Scenario, args) -> str:
-    range_m, power = float(scn.beam_target[2]), scn.radiated_power()
+    range_m, power = float(scn.beam_target[2]), _radiated_power(scn)
     # an extreme wavelength x altitude product over- or underflows the closed forms
     peak = airy_peak_density(power, scn.aperture_diameter, scn.rf, range_m)
     if not 0.0 < peak < math.inf:
@@ -66,11 +78,7 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         raise SkybeamError(
             f"array too large for a map run (~{scn.estimated_element_count():.3g} "
             "elements); use a scaled scenario such as spot_scaled")
-    power = scn.radiated_power()
-    if not power > 0.0:
-        raise ScenarioValidationError(
-            "chain.dc_to_rf", f"gives a radiated power of {power:.3g} W "
-            "(beam.input_power x chain.dc_to_rf); a map needs a positive one")
+    power = _radiated_power(scn)
     grid_n = scn.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
     command = focus_command(layout, scn.rf, scn.beam_target, power)
@@ -175,6 +183,14 @@ def cmd_coverage(scn: Scenario, args) -> str:
 
 
 def cmd_econ(scn: Scenario, args) -> str:
+    end_to_end = scn.chain.end_to_end
+    if not end_to_end > 0.0:
+        # blame the first zero stage; with none, the product underflowed
+        stage = next((f.name for f in dataclasses.fields(scn.chain)
+                      if getattr(scn.chain, f.name) == 0.0), "dc_to_rf")
+        raise ScenarioValidationError(
+            f"chain.{stage}", f"gives an end-to-end efficiency of {end_to_end:.3g}; "
+            "the cost of beamed power needs a positive one")
     price = econ.beamed_cost(scn.cost)
     p_cruise = cruise_power(scn.aircraft)
     pairs = [
@@ -182,9 +198,8 @@ def cmd_econ(scn: Scenario, args) -> str:
         ("rf_uplift_fraction", scn.cost.uplift),
         ("beamed_cost_usd_per_MWh", price),
         ("cruise_power_W", p_cruise),
-        ("end_to_end_efficiency", scn.chain.end_to_end),
-        ("beamed_cost_usd_per_hour",
-         econ.beamed_cost_per_hour(p_cruise, scn.chain.end_to_end, price)),
+        ("end_to_end_efficiency", end_to_end),
+        ("beamed_cost_usd_per_hour", econ.beamed_cost_per_hour(p_cruise, end_to_end, price)),
         ("fuel_cost_usd_per_hour", scn.cost.fuel_cost_per_hour),
         ("breakeven_end_to_end_efficiency",
          econ.breakeven_efficiency(p_cruise, price, scn.cost.fuel_cost_per_hour)),
@@ -201,7 +216,12 @@ def cmd_econ(scn: Scenario, args) -> str:
         estimate = econ.farm_network_estimate(scn.territory_area_km2, cov,
                                               scn.econ_farm_area_km2)
         # checked here, not in the field table: farm_area_km2 comes after it;
-        # a zero farm count has an infinite spacing
+        # a tiny farm area overflows the count, a zero count has an infinite spacing
+        if not math.isfinite(estimate.farm_count):
+            raise ScenarioValidationError(
+                "econ.farm_area_km2",
+                f"gives {estimate.farm_count:.3g} farms at coverage fraction {cov:g} "
+                "(territory_area_km2 x coverage / farm_area_km2); the count must be finite")
         if not math.isfinite(estimate.mean_spacing_km):
             raise ScenarioValidationError(
                 f"econ.coverage_fraction[{idx}]",

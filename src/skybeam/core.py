@@ -54,17 +54,6 @@ class RfSpec:
         return cls(SPEED_OF_LIGHT / wavelength, wavelength, TWO_PI / wavelength)
 
 
-def element_size_for(frequency: float) -> float:
-    """Edge length of one emitting tile [m]: half the carrier wavelength.
-
-    Half-wavelength pitch keeps the beam steerable over the full sky without
-    grating lobes, so the tile edge equals 0.5 * c / frequency.
-    """
-    if frequency <= 0.0:
-        raise InvalidArgumentError("frequency must be positive")
-    return 0.5 * SPEED_OF_LIGHT / frequency
-
-
 @dataclass(frozen=True)
 class ArrayLayout:
     """Planar farm array: element centers, grid pitch, realized aperture, fill mask.
@@ -75,14 +64,12 @@ class ArrayLayout:
         every active element [m]; equals the max pairwise horizontal extent
         for symmetric full grids.
     fill_mask: (n,) bool, True where the element is active.
-    element_amplitude: radiated power per active element [W], uniform.
     """
 
     positions: np.ndarray
     element_spacing: float
     aperture_diameter: float
     fill_mask: np.ndarray
-    element_amplitude: float = 1.0
 
     def __post_init__(self):
         pos = _frozen(self.positions)
@@ -93,8 +80,6 @@ class ArrayLayout:
             raise InvalidArgumentError("fill_mask length must match positions")
         if self.element_spacing <= 0.0:
             raise InvalidArgumentError("element_spacing must be positive")
-        if self.element_amplitude <= 0.0:
-            raise InvalidArgumentError("element_amplitude must be positive")
         if mask.any():
             radial = np.hypot(pos[mask, 0], pos[mask, 1])
             if radial.max() > 0.5 * self.aperture_diameter * (1.0 + 1e-9) + 1e-12:
@@ -125,12 +110,11 @@ class ArrayLayout:
         rng = np.random.default_rng(seed)
         mask = self.fill_mask & (rng.random(self.n_elements) < fill_fraction)
         return ArrayLayout(self.positions, self.element_spacing, self.aperture_diameter,
-                           mask, self.element_amplitude)
+                           mask)
 
 
 def make_planar_array(aperture_diameter: float, spacing: float,
-                      fill_fraction: float = 1.0, seed: int = 0,
-                      element_amplitude: float = 1.0) -> ArrayLayout:
+                      fill_fraction: float = 1.0, seed: int = 0) -> ArrayLayout:
     """Square-grid elements inside a disk of the given diameter, centered at the origin.
 
     Grid indices (i, j) are kept when (i^2 + j^2) * spacing^2 <= (diameter/2)^2
@@ -166,7 +150,7 @@ def make_planar_array(aperture_diameter: float, spacing: float,
         realized = 0.0
     # keep a non-degenerate aperture even for a single central element
     realized = max(realized, spacing)
-    return ArrayLayout(positions, spacing, realized, mask, element_amplitude)
+    return ArrayLayout(positions, spacing, realized, mask)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ complex field carries sqrt(W)/m units so power density [W/m^2] is |field|^2
 with no extra normalization. Distances are exact per element, so near-field
 focusing needs no Fresnel or Fraunhofer approximation.
 
-Element patterns: "cosine" is G = 4 cos(theta) above the farm plane and zero
-below (an isolated element radiates exactly its commanded power into the
-upper hemisphere); "isotropic" is G = 1 over the full sphere, kept for
-point-source conservation checks.
+Element pattern: G = 4 cos(theta) above the farm plane and zero below, so an
+isolated element radiates exactly its commanded power into the upper
+hemisphere.
 
 Energy accounting caveat: superposing isolated-element spherical waves does
 not model mutual coupling, so a coherently driven grid radiates more than the
@@ -34,7 +33,6 @@ import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -44,9 +42,6 @@ from .errors import (DegenerateGeometryError, InvalidArgumentError,
 
 # Diffraction constant for a uniformly illuminated circular aperture.
 SPOT_DIAMETER_FACTOR = 1.22
-
-PATTERN_COSINE = "cosine"
-PATTERN_ISOTROPIC = "isotropic"
 
 # Element-points per evaluation block: each (points x elements) temporary of
 # a block holds at most this many values, or one point's row for a larger
@@ -89,20 +84,10 @@ def solve_focus_phases(layout: ArrayLayout, rf: RfSpec, target) -> np.ndarray:
     return np.mod(-rf.wavenumber * r, TWO_PI)
 
 
-def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
-    """Round phases to an n-bit phase-shifter grid (2**bits settings over [0, 2pi))."""
-    if bits < 1:
-        raise InvalidArgumentError("bits must be >= 1")
-    step = TWO_PI / (1 << bits)
-    return np.mod(np.round(np.asarray(phases, dtype=float) / step) * step, TWO_PI)
-
-
 def focus_command(layout: ArrayLayout, rf: RfSpec, target,
-                  total_radiated_power: Optional[float] = None) -> BeamCommand:
-    """BeamCommand focused on target; power defaults to element_amplitude x active count."""
+                  total_radiated_power: float) -> BeamCommand:
+    """BeamCommand focused on target, radiating total_radiated_power [W] in all."""
     phases = solve_focus_phases(layout, rf, target)
-    if total_radiated_power is None:
-        total_radiated_power = layout.element_amplitude * layout.n_active
     return BeamCommand(np.asarray(target, dtype=float), total_radiated_power, phases)
 
 
@@ -200,76 +185,7 @@ class FieldMap:
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _pattern_gain(dz: np.ndarray, r: np.ndarray, pattern: str) -> np.ndarray:
-    """Element power gain toward each point; a new array the caller may reuse."""
-    if pattern == PATTERN_COSINE:
-        gain = dz / r
-        np.clip(gain, 0.0, None, out=gain)
-        gain *= 4.0
-        return gain
-    if pattern == PATTERN_ISOTROPIC:
-        return np.ones_like(r)
-    raise InvalidArgumentError(f"unknown element pattern {pattern!r}")
-
-
-def _check_phases(layout: ArrayLayout, command: BeamCommand) -> None:
-    if command.phases.shape[0] != layout.n_active:
-        raise InvalidArgumentError(
-            f"command has {command.phases.shape[0]} phases for "
-            f"{layout.n_active} active elements")
-
-
-def _warn_if_near(min_r: float, layout: ArrayLayout) -> None:
-    if min_r < layout.element_spacing:
-        warnings.warn(
-            f"observation point {min_r:.3g} m from an element "
-            f"(within one spacing); 1/r terms are near-singular",
-            NearFieldWarning, stacklevel=3)
-
-
-def evaluate_field_oracle(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
-                          points, pattern: str = PATTERN_COSINE):
-    """Complex field [sqrt(W)/m] and power density [W/m^2] by direct summation.
-
-    One plain spherical-wave sum per observation point, no tiling or
-    approximation; this is the reference the fast path is held to.
-
-    Parameters
-    ----------
-    points : (m, 3) array of observation points [m].
-
-    Returns
-    -------
-    (field, density) : complex (m,) and float (m,) arrays.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidArgumentError("points must be an (m, 3) array")
-    out = np.zeros(pts.shape[0], dtype=complex)
-    pos = layout.active_positions
-    if pos.shape[0] == 0:
-        return out, np.zeros(pts.shape[0])
-    _check_phases(layout, command)
-    p_elem = command.total_radiated_power / pos.shape[0]
-    k = rf.wavenumber
-    phases = command.phases
-    min_r = math.inf
-    for i in range(pts.shape[0]):
-        d = pts[i][None, :] - pos
-        r = np.sqrt(np.sum(d * d, axis=1))
-        rmin = float(r.min())
-        if rmin <= 0.0:
-            raise DegenerateGeometryError("observation point coincides with an element")
-        min_r = min(min_r, rmin)
-        gain = _pattern_gain(d[:, 2], r, pattern)
-        amp = np.sqrt(p_elem * gain / (4.0 * math.pi)) / r
-        out[i] = np.add.reduce(amp * np.exp(1j * (k * r + phases)))
-    _warn_if_near(min_r, layout)
-    return out, np.abs(out) ** 2
-
-
-def _field_block(pts: np.ndarray, ex, ey, ez, phases, p_scale: float, k: float,
-                 pattern: str):
+def _field_block(pts: np.ndarray, ex, ey, ez, phases, p_scale: float, k: float):
     """Vectorized spherical-wave sum for one block of points; returns (field, min_r)."""
     dx = pts[:, 0][:, None] - ex[None, :]
     dy = pts[:, 1][:, None] - ey[None, :]
@@ -284,8 +200,11 @@ def _field_block(pts: np.ndarray, ex, ey, ez, phases, p_scale: float, k: float,
     min_r = float(r.min())
     if min_r <= 0.0:
         raise DegenerateGeometryError("observation point coincides with an element")
-    gain = _pattern_gain(dz, r, pattern)
+    # cosine element pattern: gain 4 cos(theta) toward the point, 0 below the plane
+    gain = dz / r
     del dz
+    np.clip(gain, 0.0, None, out=gain)
+    gain *= 4.0
     gain *= p_scale
     np.sqrt(gain, out=gain)
     gain /= r
@@ -299,10 +218,11 @@ def _field_block(pts: np.ndarray, ex, ey, ez, phases, p_scale: float, k: float,
 
 
 def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
-                        grid: ObservationGrid, threads: int = 1,
-                        pattern: str = PATTERN_COSINE) -> FieldMap:
-    """FieldMap over `grid`; same contract as the oracle, vectorized and threaded.
+                        grid: ObservationGrid, threads: int = 1) -> FieldMap:
+    """FieldMap over `grid` by direct summation of the spherical waves.
 
+    Raises DegenerateGeometryError when a point coincides with an element and
+    warns (NearFieldWarning) when one lies within an element spacing of it.
     Points are processed in blocks of about _BLOCK_ELEMENT_POINTS
     element-points, each summed over elements in layout order, so results are
     bit-identical for any thread count.
@@ -319,7 +239,10 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
     out = np.zeros(n_pts, dtype=complex)
     pos = layout.active_positions
     if pos.shape[0] > 0:
-        _check_phases(layout, command)
+        if command.phases.shape[0] != layout.n_active:
+            raise InvalidArgumentError(
+                f"command has {command.phases.shape[0]} phases for "
+                f"{layout.n_active} active elements")
         p_scale = command.total_radiated_power / pos.shape[0] / (4.0 * math.pi)
         ex, ey, ez = np.ascontiguousarray(pos.T)
         phases = command.phases
@@ -331,7 +254,7 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
         def run(block_idx: int) -> None:
             a, b = bounds[block_idx]
             out[a:b], min_rs[block_idx] = _field_block(
-                pts[a:b], ex, ey, ez, phases, p_scale, k, pattern)
+                pts[a:b], ex, ey, ez, phases, p_scale, k)
 
         if threads == 1:
             for bi in range(len(bounds)):
@@ -340,7 +263,12 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
             workers = min(threads, len(bounds), os.cpu_count() or 1)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run, range(len(bounds))))
-        _warn_if_near(float(min_rs.min()), layout)
+        min_r = float(min_rs.min())
+        if min_r < layout.element_spacing:
+            warnings.warn(
+                f"observation point {min_r:.3g} m from an element "
+                f"(within one spacing); 1/r terms are near-singular",
+                NearFieldWarning, stacklevel=2)
 
     fld = out.reshape(grid.n_v, grid.n_u)
     return FieldMap(grid, fld, np.abs(fld) ** 2)
@@ -477,7 +405,7 @@ def spot_report(aperture_diameter: float, rf: RfSpec, range_m: float,
 
 
 # ---------------------------------------------------------------------------
-# steering and thinning diagnostics
+# steering diagnostics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -511,25 +439,3 @@ def grating_lobe_margin(spacing: float, rf: RfSpec,
         best = min(best, abs(u0 - m * ratio))
     margin = best - 1.0
     return GratingLobeReport(margin=margin, lobe_free=margin > 0.0)
-
-
-def thinning_efficiency_ratio(layout_full: ArrayLayout, layout_thinned: ArrayLayout,
-                              rf: RfSpec, target, disk_diameter: float,
-                              grid_n: int = 121, window_factor: float = 1.5,
-                              threads: int = 1) -> float:
-    """Focal-disk collection of a thinned layout relative to the full one.
-
-    Both layouts are driven at the same total radiated power (full layout's
-    amplitude x active count), focused on `target`, and integrated over the
-    same disk; removing elements at fixed total power drops the collected
-    fraction roughly in proportion to the fill fraction.
-    """
-    total = layout_full.element_amplitude * layout_full.n_active
-    grid = ObservationGrid.horizontal(np.asarray(target, dtype=float), grid_n,
-                                      window_factor * disk_diameter)
-    fractions = []
-    for layout in (layout_full, layout_thinned):
-        cmd = focus_command(layout, rf, target, total)
-        fmap = evaluate_field_fast(layout, rf, cmd, grid, threads=threads)
-        fractions.append(encircled_energy(fmap, target, disk_diameter, total))
-    return fractions[1] / fractions[0]

@@ -50,14 +50,6 @@ def delivered_power(input_power: float, chain: EfficiencyChain) -> float:
     return input_power * chain.end_to_end
 
 
-def required_input_power(delivered: float, chain: EfficiencyChain) -> float:
-    """Grid draw needed to deliver the requested watts through the chain."""
-    e2e = chain.end_to_end
-    if e2e <= 0.0:
-        raise InvalidArgumentError("chain end-to-end efficiency must be positive")
-    return delivered / e2e
-
-
 # ---------------------------------------------------------------------------
 # receiver panels
 # ---------------------------------------------------------------------------
@@ -87,13 +79,14 @@ class ReceiverPanel:
         object.__setattr__(self, "normal", n)
 
 
-def default_panels(rf_to_dc: float = 0.85) -> list[ReceiverPanel]:
-    """Stock single-aisle receiver fit: belly patch plus 60-degree nose/tail wedges."""
+def default_panels() -> list[ReceiverPanel]:
+    """Stock single-aisle receiver fit: belly patch plus 60-degree nose/tail
+    wedges, each rectifying at 85 %."""
     s60, c60 = math.sin(math.radians(60.0)), math.cos(math.radians(60.0))
     return [
-        ReceiverPanel("underside", np.array([0.0, 0.0, -1.0]), 40.0, rf_to_dc),
-        ReceiverPanel("lower-front", np.array([s60, 0.0, -c60]), 15.0, rf_to_dc),
-        ReceiverPanel("lower-tail", np.array([-s60, 0.0, -c60]), 15.0, rf_to_dc),
+        ReceiverPanel("underside", np.array([0.0, 0.0, -1.0]), 40.0, 0.85),
+        ReceiverPanel("lower-front", np.array([s60, 0.0, -c60]), 15.0, 0.85),
+        ReceiverPanel("lower-tail", np.array([-s60, 0.0, -c60]), 15.0, 0.85),
     ]
 
 

@@ -103,10 +103,9 @@ class FlightPlan:
         return self.total_length / self.speed
 
 
-def cruise_power(aircraft: Aircraft, mass: float | None = None) -> float:
+def cruise_power(aircraft: Aircraft) -> float:
     """Electric power needed for steady level cruise [W]: m g V / (L/D * eta)."""
-    m = aircraft.mass if mass is None else mass
-    return (m * STANDARD_GRAVITY * aircraft.cruise_speed
+    return (aircraft.mass * STANDARD_GRAVITY * aircraft.cruise_speed
             / (aircraft.lift_to_drag * aircraft.propulsive_efficiency))
 
 
@@ -215,7 +214,6 @@ class MissionTrace:
     delivered_w: np.ndarray
     fuel_rate_kg_s: np.ndarray
     fuel_kg: np.ndarray
-    mass_kg: np.ndarray
     fuel_chain_efficiency: float
     reference_power_w: float
 
@@ -240,11 +238,11 @@ class MissionTrace:
                    self.fuel_rate_kg_s, self.fuel_kg])
 
 
-def coverage_fraction(trace: MissionTrace, threshold: float = 0.95) -> float:
-    """Time-weighted fraction of the mission with delivered >= threshold * required."""
+def coverage_fraction(trace: MissionTrace) -> float:
+    """Time-weighted fraction of the mission with delivered >= 0.95 * required."""
     if trace.n_steps == 0:
         raise InvalidArgumentError("trace is empty")
-    served = trace.delivered_w >= threshold * trace.required_w
+    served = trace.delivered_w >= 0.95 * trace.required_w
     return float((trace.weights * served).sum() / trace.weights.sum())
 
 
@@ -338,18 +336,17 @@ def _choose_farms(positions, seg_idx, attitudes, world_normals, network: FarmNet
 
 
 def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
-                     chain: EfficiencyChain, integrate_mass: bool = False) -> MissionTrace:
+                     chain: EfficiencyChain) -> MissionTrace:
     """Fly the plan, beaming power from the largest-cap usable farm.
 
-    Each step: required power is the cruise power at the current mass. A farm
-    is usable when it sees the aircraft within its slant and scan limits and
-    some panel faces the beam; the step is served by the usable farm with the
-    largest input cap (lowest index on ties), through the chain with its
-    incidence stage replaced by that farm's best-panel cosine, drawing at most
-    the cap. The residual comes from fuel at a burn rate calibrated so the
-    fuel-only case reproduces the aircraft's reference burn at reference
-    cruise power. With integrate_mass the burned fuel reduces mass (and thus
-    required power) as the flight proceeds.
+    Required power is the cruise power at the aircraft's mass on every step.
+    A farm is usable when it sees the aircraft within its slant and scan
+    limits and some panel faces the beam; the step is served by the usable
+    farm with the largest input cap (lowest index on ties), through the chain
+    with its incidence stage replaced by that farm's best-panel cosine,
+    drawing at most the cap. The residual comes from fuel at a burn rate
+    calibrated so the fuel-only case reproduces the aircraft's reference burn
+    at reference cruise power; the cumulative burn is a running sum.
 
     The farm choice is made by array passes over blocks of steps x farms;
     pairs on a visibility or shadow bound, and the reported geometry of each
@@ -374,44 +371,35 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     scan = np.full(n, math.nan)
     panel_lbl = ["-"] * n
     cosine = np.full(n, math.nan)
-    required = np.zeros(n)
+    required = np.full(n, p_ref)
     delivered = np.zeros(n)
-    fuel_rate = np.zeros(n)
-    fuel = np.zeros(n)
-    mass = np.zeros(n)
 
-    m = aircraft.mass
-    burned = 0.0
     for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        choice = _choose_farms(positions[start:stop], seg_idx[start:stop], attitudes,
-                               world_normals, network, aircraft.panels)
-        for k in range(start, stop):
-            mass[k] = m
-            required[k] = need = cruise_power(aircraft, m)
+        block = slice(start, start + _BLOCK)
+        choice = _choose_farms(positions[block], seg_idx[block], attitudes, world_normals,
+                               network, aircraft.panels)
+        for k in start + np.flatnonzero(choice >= 0):
             j = int(choice[k - start])
-            if j >= 0 and need > 0.0 and network.input_caps[j] > 0.0:
+            if p_ref > 0.0 and network.input_caps[j] > 0.0:
                 # the array pass only picks pairs the scalar calls accept
                 v, panel, cos_inc = _serve(network.sites[j], positions[k], network,
                                            aircraft.panels, attitudes[seg_idx[k]])
                 eff = chain.with_incidence(cos_inc).end_to_end
                 if eff > 0.0:
-                    delivered[k] = min(network.input_caps[j], need / eff) * eff
+                    delivered[k] = min(network.input_caps[j], p_ref / eff) * eff
                     farm_index[k] = j
                     slant[k], scan[k], panel_lbl[k], cosine[k] = (
                         v.slant_range, v.scan_deg, panel.label, cos_inc)
 
-            # a fully served step leaves required - delivered at about -1 ulp
-            residual = max(required[k] - delivered[k], 0.0)
-            fuel_rate[k] = residual / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
-            burned += fuel_rate[k] * weights[k]
-            fuel[k] = burned
-            if integrate_mass:
-                m = aircraft.mass - burned
+    # a fully served step leaves required - delivered at about -1 ulp
+    fuel_rate = (np.maximum(required - delivered, 0.0)
+                 / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff))
+    # add.accumulate adds left to right, so each total has the bits of a per-step `+=`
+    fuel = np.add.accumulate(fuel_rate * weights)
 
     return MissionTrace(times, weights, positions, farm_index, slant, scan,
                         panel_lbl, cosine, required, delivered, fuel_rate, fuel,
-                        mass, fuel_chain_eff, p_ref)
+                        fuel_chain_eff, p_ref)
 
 
 def mission_summary(trace: MissionTrace, baseline: MissionTrace) -> dict:

@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library code paths they are used to
-check: grid counting is a plain double loop, encircled energy comes from
-radial quadrature of the analytic diffraction intensity, and radiated power
-comes from Gauss-Legendre quadrature of the direct-summation field over a
-far hemisphere.
+check: the field is one plain spherical-wave sum per point, grid counting is
+a plain double loop, encircled energy comes from radial quadrature of the
+analytic diffraction intensity, and radiated power comes from Gauss-Legendre
+quadrature of the direct-summation field over a far hemisphere.
 """
 
 import math
@@ -49,12 +49,34 @@ def airy_encircled_quad(x: float) -> float:
     return 0.5 * val
 
 
+def evaluate_field_oracle(layout: sb.ArrayLayout, rf: sb.RfSpec,
+                          command: sb.BeamCommand, points):
+    """Complex field [sqrt(W)/m] and power density [W/m^2] by direct summation.
+
+    One plain spherical-wave sum per (m, 3) observation point, cosine element
+    pattern G = 4 cos(theta), no tiling or approximation: the reference
+    sb.evaluate_field_fast is held to. Returns complex (m,) and float (m,)
+    arrays.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pos = layout.active_positions
+    p_elem = command.total_radiated_power / pos.shape[0]
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for i in range(pts.shape[0]):
+        d = pts[i][None, :] - pos
+        r = np.sqrt(np.sum(d * d, axis=1))
+        gain = 4.0 * np.clip(d[:, 2] / r, 0.0, None)
+        amp = np.sqrt(p_elem * gain / (4.0 * math.pi)) / r
+        out[i] = np.add.reduce(amp * np.exp(1j * (rf.wavenumber * r + command.phases)))
+    return out, np.abs(out) ** 2
+
+
 def ring_density(layout: sb.ArrayLayout, rf: sb.RfSpec, command: sb.BeamCommand,
                  pts: np.ndarray) -> np.ndarray:
     """Power density at each of the (m, 3) points, cosine element pattern.
 
     One (m x elements) direct sum with the arithmetic of
-    sb.evaluate_field_oracle, which takes one point at a time.
+    evaluate_field_oracle, which takes one point at a time.
     """
     pos = layout.active_positions
     d = pts[:, None, :] - pos[None, :, :]

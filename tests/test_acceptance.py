@@ -36,9 +36,9 @@ import pytest
 import skybeam as sb
 from skybeam.cli import main as cli_main
 
-from conftest import (airy_encircled_quad, hemisphere_power_oracle, hemisphere_rings,
-                      line_array_factor, random_disk_layout, ring_density,
-                      square_grid_layout)
+from conftest import (airy_encircled_quad, evaluate_field_oracle, hemisphere_power_oracle,
+                      hemisphere_rings, line_array_factor, random_disk_layout,
+                      ring_density, square_grid_layout)
 
 RF = sb.RfSpec.from_wavelength(0.1)
 FLAGSHIP_D = 1000.0
@@ -135,12 +135,12 @@ def _conservation_cases():
 
 @pytest.mark.parametrize("case", range(4))
 def test_hemisphere_ring_density_matches_the_field_oracle(case):
-    """The conservation check's ring sum is the library's direct summation."""
+    """The conservation check's ring sum is the field oracle's direct summation."""
     name, lay, n_t, n_p = _conservation_cases()[case]
     c = sb.focus_command(lay, RF, np.array([0.0, 0.0, FLAGSHIP_R]), 1.0)
     rings = hemisphere_rings(n_t, n_p, FLAGSHIP_R)
     pts, _, _ = next(itertools.islice(rings, n_t // 2, None))
-    _, expected = sb.evaluate_field_oracle(lay, RF, c, pts)
+    _, expected = evaluate_field_oracle(lay, RF, c, pts)
     dens = ring_density(lay, RF, c, pts)
     assert np.abs(dens - expected).max() / expected.max() <= 1e-12, name
 
@@ -156,7 +156,7 @@ def test_criterion_3_oracle_equivalence_and_conservation():
         cmd = sb.focus_command(layout, RF, target, 1.0)
         grid = sb.ObservationGrid.horizontal(target, 101, 2000.0)
         fmap = sb.evaluate_field_fast(layout, RF, cmd, grid)
-        field, dens = sb.evaluate_field_oracle(layout, RF, cmd, grid.points())
+        field, dens = evaluate_field_oracle(layout, RF, cmd, grid.points())
         field_scale = np.abs(field).max()
         assert np.abs(fmap.complex_field.ravel() - field).max() / field_scale < 1e-10
         assert np.abs(fmap.power_density.ravel() - dens).max() / dens.max() < 1e-10

@@ -165,6 +165,12 @@ def test_exit_code_non_finite_and_step_cap(tmp_path, capsys, text, field_path):
     ("coverage", {"plan": {"waypoints": [[0, 0, 1e4], [0, 0, 1e4], [1e5, 0, 1e4]]}},
      "plan.waypoints[1]"),
     ("spot", {"beam": {"target": [0, 0, 1e-200]}}, "beam.target"),
+    ("spot", {"chain": {"dc_to_rf": 0}}, "chain.dc_to_rf"),
+    ("econ", {"chain": {"dc_to_rf": 0}}, "chain.dc_to_rf"),
+    ("econ", {"chain": {"beam_collection": 0, "rf_to_dc": 0}}, "chain.beam_collection"),
+    ("econ", {"chain": {"dc_to_rf": 1e-200, "rf_to_dc": 1e-200}}, "chain.dc_to_rf"),
+    ("econ", {"econ": {"farm_area_km2": 1e-310, "coverage_fraction": 1}},
+     "econ.farm_area_km2"),
 ])
 def test_exit_code_for_inputs_that_used_to_escape(tmp_path, capsys, command, scenario,
                                                   field_path):
@@ -320,22 +326,22 @@ def test_econ_refuses_a_coverage_fraction_with_no_farms(tmp_path, capsys, covera
     ({}, {"dc_to_rf": 0}, "0"),
     ({"input_power": 1e-320}, {"dc_to_rf": 1e-10}, "0"),       # the product underflows
 ])
-def test_beam_map_refuses_no_radiated_power_before_any_layout(tmp_path, capsys,
-                                                              monkeypatch, beam, chain,
-                                                              power):
+@pytest.mark.parametrize("command", ["beam-map", "spot"])
+def test_no_radiated_power_exits_4_before_any_layout(tmp_path, capsys, monkeypatch,
+                                                     command, beam, chain, power):
     path = _scenario_file(tmp_path, "spot_scaled", beam=beam, chain=chain)
-    for command in ("link", "safety"):
-        assert run_cli(capsys, command, "--scenario", path)[0] == 0
+    for reporter in ("link", "safety"):
+        assert run_cli(capsys, reporter, "--scenario", path)[0] == 0
 
     def refuse(self):
         raise AssertionError("layout built before the radiated power was checked")
 
     monkeypatch.setattr(Scenario, "build_layout", refuse)
     out_dir = tmp_path / "maps"
-    code, out, err = run_cli(capsys, "beam-map", "--scenario", path, "--out", str(out_dir))
+    code, out, err = run_cli(capsys, command, "--scenario", path, "--out", str(out_dir))
     assert (code, out) == (4, "")
     assert err == (f"error: chain.dc_to_rf: gives a radiated power of {power} W "
-                   "(beam.input_power x chain.dc_to_rf); a map needs a positive one\n")
+                   "(beam.input_power x chain.dc_to_rf); it must be positive\n")
     assert not out_dir.exists()
 
 

@@ -25,14 +25,6 @@ def test_disk_grid_matches_enumeration(diameter, spacing):
     assert layout.n_active == brute_force_disk_count(diameter, spacing)
 
 
-def test_element_edge_lengths():
-    # 3 GHz tile is a ~5 cm square, 1 GHz a ~15 cm square
-    assert sb.element_size_for(3e9) == pytest.approx(0.04997, abs=5e-5)
-    assert sb.element_size_for(1e9) == pytest.approx(0.1499, abs=1e-4)
-    f = 2.2e9
-    assert sb.element_size_for(f) == 0.5 * sb.SPEED_OF_LIGHT / f
-
-
 def test_full_grid_fill_fraction_is_one():
     layout = sb.make_planar_array(0.9, 0.07)
     assert layout.fill_fraction == 1.0
@@ -80,8 +72,6 @@ def test_make_planar_array_rejects_bad_arguments():
         sb.make_planar_array(1.0, 0.05, fill_fraction=0.0)
     with pytest.raises(InvalidArgumentError):
         sb.make_planar_array(1.0, 0.05, fill_fraction=1.2)
-    with pytest.raises(InvalidArgumentError):
-        sb.element_size_for(0.0)
 
 
 def test_rfspec_consistency():

@@ -1,4 +1,4 @@
-"""Field engine: phase solving, oracle physics, fast-path equivalence, spot metrics."""
+"""Field engine: phase solving, field physics, oracle equivalence, spot metrics."""
 
 import math
 import struct
@@ -10,9 +10,8 @@ import skybeam as sb
 from skybeam import field
 from skybeam.errors import (DegenerateGeometryError, InvalidArgumentError,
                             NearFieldWarning, ResolutionError)
-from skybeam.field import PATTERN_ISOTROPIC
 
-from conftest import airy_encircled_quad, square_grid_layout
+from conftest import airy_encircled_quad, evaluate_field_oracle, square_grid_layout
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +23,12 @@ def _two_element_layout(spacing=0.5):
 
 def _single_element_layout():
     return sb.ArrayLayout(np.zeros((1, 3)), 1.0, 1.0, np.ones(1, bool))
+
+
+def _fast_density_at(layout, rf, cmd, point):
+    """evaluate_field_fast's density at one point: the center of a 3 x 3 map."""
+    grid = sb.ObservationGrid.horizontal(point, 3, 0.02)
+    return sb.evaluate_field_fast(layout, rf, cmd, grid).power_density[1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -57,81 +62,57 @@ def test_solved_phases_beat_1000_random_assignments(rf10cm):
     layout = sb.ArrayLayout(pos, 0.5, 8.0, np.ones(16, bool))
     target = np.array([40.0, -25.0, 900.0])
     cmd = sb.focus_command(layout, rf10cm, target, 1.0)
-    _, focused = sb.evaluate_field_oracle(layout, rf10cm, cmd, target[None, :])
+    _, focused = evaluate_field_oracle(layout, rf10cm, cmd, target[None, :])
     for _ in range(1000):
         random_cmd = sb.BeamCommand(target, 1.0, rng.uniform(0, TWO_PI, 16))
-        _, trial = sb.evaluate_field_oracle(layout, rf10cm, random_cmd,
-                                            target[None, :])
+        _, trial = evaluate_field_oracle(layout, rf10cm, random_cmd, target[None, :])
         assert trial[0] < focused[0]
 
 
-def test_phase_quantization_grid():
-    phases = np.linspace(0.0, TWO_PI, 17, endpoint=False)
-    q = sb.quantize_phases(phases, 3)
-    step = TWO_PI / 8
-    assert np.allclose(np.mod(q / step, 1.0), 0.0, atol=1e-12)
-    assert np.max(np.abs(np.angle(np.exp(1j * (q - phases))))) <= step / 2 + 1e-12
-    with pytest.raises(InvalidArgumentError):
-        sb.quantize_phases(phases, 0)
-
-
 # ---------------------------------------------------------------------------
-# oracle physics
+# field physics
 # ---------------------------------------------------------------------------
-
-def test_single_isotropic_element_inverse_square(rf10cm):
-    layout = _single_element_layout()
-    cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 5.0, np.zeros(1))
-    for r in (1.0, 10.0, 250.0):
-        _, dens = sb.evaluate_field_oracle(layout, rf10cm, cmd,
-                                           [[0.0, 0.0, r]],
-                                           pattern=PATTERN_ISOTROPIC)
-        assert dens[0] == pytest.approx(5.0 / (4 * math.pi * r * r), rel=1e-12)
-
 
 def test_cosine_element_peak_gain_is_four(rf10cm):
     layout = _single_element_layout()
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 5.0, np.zeros(1))
-    _, dens = sb.evaluate_field_oracle(layout, rf10cm, cmd, [[0.0, 0.0, 100.0]])
-    assert dens[0] == pytest.approx(4.0 * 5.0 / (4 * math.pi * 1e4), rel=1e-12)
+    dens = _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, 100.0])
+    assert dens == pytest.approx(4.0 * 5.0 / (4 * math.pi * 1e4), rel=1e-12)
     # below the farm plane the cosine element radiates nothing
-    _, below = sb.evaluate_field_oracle(layout, rf10cm, cmd, [[0.0, 0.0, -100.0]])
-    assert below[0] == 0.0
+    assert _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, -100.0]) == 0.0
 
 
 def test_two_inphase_elements_coherent_gain(rf10cm):
     layout = _two_element_layout(spacing=0.5)
     # equidistant point on the symmetry axis
-    point = np.array([[0.0, 0.0, 50.0]])
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 50.0]), 2.0, np.zeros(2))
-    _, dens2 = sb.evaluate_field_oracle(layout, rf10cm, cmd, point)
+    dens2 = _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, 50.0])
     single = _single_element_layout()
-    r = math.sqrt(0.25 ** 2 + 50.0 ** 2)
     single_cmd = sb.BeamCommand(np.array([0.0, 0.0, 50.0]), 1.0, np.zeros(1))
-    pt = np.array([[0.25, 0.0, 50.0]])  # same range/angle from the element
-    _, dens1 = sb.evaluate_field_oracle(single, rf10cm, single_cmd, pt)
-    assert dens2[0] == pytest.approx(4.0 * dens1[0], rel=1e-6)
+    # same range and angle from the element
+    dens1 = _fast_density_at(single, rf10cm, single_cmd, [0.25, 0.0, 50.0])
+    assert dens2 == pytest.approx(4.0 * dens1, rel=1e-6)
 
 
-def test_oracle_point_on_element_raises(rf10cm):
+def test_point_on_element_raises(rf10cm):
     layout = _single_element_layout()
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 1.0, np.zeros(1))
     with pytest.raises(DegenerateGeometryError):
-        sb.evaluate_field_oracle(layout, rf10cm, cmd, [[0.0, 0.0, 0.0]])
+        _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, 0.0])
 
 
 def test_near_singular_warning(rf10cm):
     layout = _two_element_layout(spacing=0.5)
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 1.0, np.zeros(2))
     with pytest.warns(NearFieldWarning):
-        sb.evaluate_field_oracle(layout, rf10cm, cmd, [[0.3, 0.0, 0.05]])
+        _fast_density_at(layout, rf10cm, cmd, [0.3, 0.0, 0.05])
 
 
 def test_phase_count_mismatch(rf10cm):
     layout = _two_element_layout()
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 1.0, np.zeros(3))
     with pytest.raises(InvalidArgumentError):
-        sb.evaluate_field_oracle(layout, rf10cm, cmd, [[0.0, 0.0, 5.0]])
+        _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, 5.0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +125,7 @@ def test_fast_matches_oracle_small(rf10cm):
     cmd = sb.focus_command(layout, rf10cm, target, 2.5)
     grid = sb.ObservationGrid.horizontal(target, 41, 30.0)
     fmap = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
-    field, dens = sb.evaluate_field_oracle(layout, rf10cm, cmd, grid.points())
+    field, dens = evaluate_field_oracle(layout, rf10cm, cmd, grid.points())
     peak = np.abs(field).max()
     assert np.abs(fmap.complex_field.ravel() - field).max() / peak < 1e-12
     assert np.abs(fmap.power_density.ravel() - dens).max() / dens.max() < 1e-12
@@ -350,27 +331,6 @@ def test_grating_lobe_visible_at_full_wavelength(rf10cm):
     assert not rep.lobe_free
     # nearest lobe sine is sin(30) - lambda/d = -0.5
     assert rep.margin == pytest.approx(abs(-0.5) - 1.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# thinning
-# ---------------------------------------------------------------------------
-
-def test_thinning_ratio_full_vs_itself(rf10cm):
-    layout = sb.make_planar_array(1.6, 0.05)
-    target = [0.0, 0.0, 16.0]
-    disk = 2.0 * sb.first_null_spot_diameter(1.6, rf10cm, 16.0)
-    ratio = sb.thinning_efficiency_ratio(layout, layout, rf10cm, target, disk)
-    assert ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_thinning_ratio_tracks_fill(rf10cm):
-    layout = sb.make_planar_array(1.6, 0.05)
-    thinned = layout.thinned(0.7, seed=4)
-    target = [0.0, 0.0, 16.0]
-    disk = 2.0 * sb.first_null_spot_diameter(1.6, rf10cm, 16.0)
-    ratio = sb.thinning_efficiency_ratio(layout, thinned, rf10cm, target, disk)
-    assert ratio == pytest.approx(thinned.fill_fraction, abs=0.08)
 
 
 # ---------------------------------------------------------------------------

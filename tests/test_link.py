@@ -46,16 +46,6 @@ def test_delivered_power():
         assert sb.delivered_power(p, chain) <= p
 
 
-def test_required_input_power_roundtrip():
-    chain = sb.EfficiencyChain(1.0, 1.0, 1.0, 0.2)
-    need = 11.354e6
-    draw = sb.required_input_power(need, chain)
-    assert draw == pytest.approx(56.77e6, rel=1e-12)
-    assert sb.delivered_power(draw, chain) == pytest.approx(need, rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        sb.required_input_power(1.0, sb.EfficiencyChain(0.0, 1.0, 1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # receiver panels
 # ---------------------------------------------------------------------------

@@ -201,27 +201,13 @@ def test_delivered_never_exceeds_cap_times_chain():
     assert np.all(trace.delivered_w <= limit * (1 + 1e-12))
 
 
-def test_beaming_never_increases_fuel_and_mass_monotone():
+def test_beaming_never_increases_fuel():
     plan = _straight_plan(length_m=150_000.0)
     net = sb.FarmNetwork(np.array([[70_000.0, 3_000.0]]), 100e6, 60.0, 20_000.0)
-    with_net = sb.simulate_mission(plan, a320(), net, default_chain(),
-                                   integrate_mass=True)
-    without = sb.simulate_mission(plan, a320(), sb.FarmNetwork.empty(),
-                                  default_chain(), integrate_mass=True)
+    with_net = sb.simulate_mission(plan, a320(), net, default_chain())
+    without = sb.simulate_mission(plan, a320(), sb.FarmNetwork.empty(), default_chain())
     assert with_net.total_fuel_kg < without.total_fuel_kg
-    assert np.all(np.diff(with_net.mass_kg) <= 1e-12)
     assert np.all(np.diff(with_net.fuel_kg) >= -1e-12)
-    assert with_net.mass_kg[-1] > 0.0
-
-
-def test_mass_integration_lowers_required_power():
-    plan = _straight_plan(length_m=400_000.0)
-    const = sb.simulate_mission(plan, a320(), sb.FarmNetwork.empty(),
-                                default_chain(), integrate_mass=False)
-    integ = sb.simulate_mission(plan, a320(), sb.FarmNetwork.empty(),
-                                default_chain(), integrate_mass=True)
-    assert integ.total_fuel_kg < const.total_fuel_kg
-    assert np.all(np.diff(integ.required_w) <= 1e-9)
 
 
 def test_timestep_convergence():
@@ -289,7 +275,7 @@ def test_plan_validation():
 # reference: the scalar mission loop that simulate_mission must match bit for bit
 # ---------------------------------------------------------------------------
 
-def reference_mission(plan, aircraft, network, chain, integrate_mass=False):
+def reference_mission(plan, aircraft, network, chain):
     """Every step x farm pair through farm_visibility and best_panel, then one
     single-aircraft assign_farms call per step."""
     times, weights, positions, seg_idx, seg_headings = mission._sample_route(plan)
@@ -309,13 +295,10 @@ def reference_mission(plan, aircraft, network, chain, integrate_mass=False):
     delivered = np.zeros(n)
     fuel_rate = np.zeros(n)
     fuel = np.zeros(n)
-    mass = np.zeros(n)
 
-    m = aircraft.mass
     burned = 0.0
     for k in range(n):
-        mass[k] = m
-        required[k] = sb.cruise_power(aircraft, m)
+        required[k] = sb.cruise_power(aircraft)
         attitude = sb.level_attitude(headings[k])
         vis_farms, effs, info = [], [], {}
         for j in range(network.n_farms):
@@ -344,17 +327,14 @@ def reference_mission(plan, aircraft, network, chain, integrate_mass=False):
         fuel_rate[k] = residual / (sb.JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff)
         burned += fuel_rate[k] * weights[k]
         fuel[k] = burned
-        if integrate_mass:
-            m = aircraft.mass - burned
 
     return sb.MissionTrace(times, weights, positions, farm_index, slant, scan,
                            panel_lbl, cosine, required, delivered, fuel_rate, fuel,
-                           mass, fuel_chain_eff, p_ref)
+                           fuel_chain_eff, p_ref)
 
 
 _TRACE_ARRAYS = ("times", "weights", "positions", "farm_index", "slant_m", "scan_deg",
-                 "cosine", "required_w", "delivered_w", "fuel_rate_kg_s", "fuel_kg",
-                 "mass_kg")
+                 "cosine", "required_w", "delivered_w", "fuel_rate_kg_s", "fuel_kg")
 
 
 def _random_case(seed):
@@ -439,11 +419,10 @@ def _assert_bit_equal(got, want, tmp_path):
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
-@pytest.mark.parametrize("integrate_mass", [False, True])
-def test_simulate_mission_matches_scalar_reference(case, integrate_mass, tmp_path):
+def test_simulate_mission_matches_scalar_reference(case, tmp_path):
     plan, aircraft, network, chain = ORACLE_CASES[case]()
-    got = sb.simulate_mission(plan, aircraft, network, chain, integrate_mass)
-    want = reference_mission(plan, aircraft, network, chain, integrate_mass)
+    got = sb.simulate_mission(plan, aircraft, network, chain)
+    want = reference_mission(plan, aircraft, network, chain)
     _assert_bit_equal(got, want, tmp_path)
 
 

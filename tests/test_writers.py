@@ -103,7 +103,7 @@ def test_trace_csv_matches_oracle_on_odd_cells(tmp_path):
         slant_m=shifted(4), scan_deg=shifted(5),
         panel=[labels[k % len(labels)] for k in range(n)], cosine=shifted(6),
         required_w=shifted(7), delivered_w=shifted(8), fuel_rate_kg_s=shifted(9),
-        fuel_kg=shifted(10), mass_kg=shifted(11), fuel_chain_efficiency=0.3,
+        fuel_kg=shifted(10), fuel_chain_efficiency=0.3,
         reference_power_w=1e7)
     assert_same_bytes(sb.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
 
@@ -112,5 +112,5 @@ def test_empty_trace_writes_only_the_header(tmp_path):
     empty = np.zeros(0)
     trace = sb.MissionTrace(empty, empty, np.zeros((0, 3)), np.zeros(0, dtype=int),
                             empty, empty, [], empty, empty, empty, empty, empty,
-                            empty, 0.3, 1e7)
+                            0.3, 1e7)
     assert_same_bytes(sb.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)

@@ -73,6 +73,15 @@ def test_solved_phases_beat_1000_random_assignments(rf10cm):
 # field physics
 # ---------------------------------------------------------------------------
 
+def test_single_element_inverse_square(rf10cm):
+    # on boresight the cosine gain is 4 at every range
+    layout = _single_element_layout()
+    cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 5.0, np.zeros(1))
+    for r in (1.0, 10.0, 250.0):
+        dens = _fast_density_at(layout, rf10cm, cmd, [0.0, 0.0, r])
+        assert dens == pytest.approx(4.0 * 5.0 / (4 * math.pi * r * r), rel=1e-12)
+
+
 def test_cosine_element_peak_gain_is_four(rf10cm):
     layout = _single_element_layout()
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 1.0]), 5.0, np.zeros(1))

@@ -427,7 +427,7 @@ def test_simulate_mission_matches_scalar_reference(case, tmp_path):
 
 
 @pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("case", ["random3", "random7", "edge_on", "a320_baseline"])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_simulate_mission_independent_of_block_size(case, block, tmp_path, monkeypatch):
     plan, aircraft, network, chain = ORACLE_CASES[case]()
     want = reference_mission(plan, aircraft, network, chain)

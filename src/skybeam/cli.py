@@ -49,13 +49,36 @@ def _radiated_power(scn: Scenario) -> float:
     return power
 
 
+def _aperture_area(scn: Scenario) -> float:
+    """The aperture's area, refused when the diameter over- or underflows it or
+    leaves the first-null disk (radius 1.22 lambda R / D) too wide for the
+    reflected-density closed form to square. That disk is the diameter's
+    fault only while (wavelength x altitude)^2 is finite itself."""
+    range_m = float(scn.beam_target[2])
+    radius = 0.5 * scn.aperture_diameter
+    area = math.pi * radius * radius
+    spot = first_null_spot_diameter(scn.aperture_diameter, scn.rf, range_m)
+    spot_area = math.pi * spot * spot
+    wave_range = scn.rf.wavelength * range_m
+    if not 0.0 < area < math.inf or (spot_area == math.inf
+                                     and wave_range * wave_range < math.inf):
+        raise ScenarioValidationError(
+            "array.aperture_diameter", f"gives an aperture area of {area:.3g} m^2 and a "
+            f"first-null disk area of {spot_area:.3g} m^2; the first must be positive "
+            "and both finite")
+    return area
+
+
 def cmd_spot(scn: Scenario, args) -> str:
     range_m, power = float(scn.beam_target[2]), _radiated_power(scn)
-    # an extreme wavelength x altitude product over- or underflows the closed forms
+    area = _aperture_area(scn)
     peak = airy_peak_density(power, scn.aperture_diameter, scn.rf, range_m)
     if not 0.0 < peak < math.inf:
+        # the power-area product overflows for a huge aperture; otherwise an
+        # extreme wavelength x altitude product over- or underflows the peak
         raise ScenarioValidationError(
-            "beam.target", f"gives a closed-form peak density of {peak:.3g} W/m^2; "
+            "array.aperture_diameter" if power * area == math.inf else "beam.target",
+            f"gives a closed-form peak density of {peak:.3g} W/m^2; "
             "it must be finite and positive")
     report = spot_report(scn.aperture_diameter, scn.rf, range_m, power)
     fn = report.first_null_diameter
@@ -114,6 +137,7 @@ def cmd_beam_map(scn: Scenario, args) -> str:
 def _safety_lines(scn: Scenario) -> tuple[list, float, list]:
     """Report lines of the surface-density check, the reflected spot diameter
     and report lines of the reflected-density check."""
+    _aperture_area(scn)
     surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
     range_m = float(scn.beam_target[2])
     spot = 2.0 * first_null_spot_diameter(scn.aperture_diameter, scn.rf, range_m)

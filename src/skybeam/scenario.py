@@ -120,6 +120,13 @@ def _integer(value, path: str, values=None) -> int:
     return value
 
 
+def _non_negative_integer(value, path: str, values=None) -> int:
+    number = _integer(value, path)
+    if number < 0:
+        raise ScenarioValidationError(path, "must be non-negative")
+    return number
+
+
 def map_grid_n(value, path: str, values=None) -> int:
     """Map samples per side, for `output.grid_n` and `--grid-n` alike: an
     integer from 2 up to a map of MAX_MAP_POINTS points."""
@@ -256,7 +263,7 @@ _FIELDS = (
     ("array", "aperture_diameter", 1000.0, POSITIVE),
     ("array", "spacing", None, _spacing),       # null: half the wavelength
     ("array", "fill_fraction", 1.0, FRACTION),
-    ("array", "seed", 42, _integer),
+    ("array", "seed", 42, _non_negative_integer),   # numpy refuses a negative seed
     ("beam", "target", [0.0, 0.0, 10_000.0], _target),
     ("beam", "input_power", 100e6, POSITIVE),
     # stages multiply to 0.20 end-to-end while keeping the demonstrated

@@ -171,6 +171,17 @@ def test_exit_code_non_finite_and_step_cap(tmp_path, capsys, text, field_path):
     ("econ", {"chain": {"dc_to_rf": 1e-200, "rf_to_dc": 1e-200}}, "chain.dc_to_rf"),
     ("econ", {"econ": {"farm_area_km2": 1e-310, "coverage_fraction": 1}},
      "econ.farm_area_km2"),
+    # an aperture area or first-null disk that over- or underflows, and a
+    # radiated power x aperture area that overflows the closed-form peak
+    *[(command, {"array": array}, "array.aperture_diameter")
+      for command in ("spot", "link", "safety")
+      for array in ({"aperture_diameter": 1e155},
+                    {"aperture_diameter": 1e-300, "spacing": 1e-301},
+                    {"aperture_diameter": 1e-155, "spacing": 1e-156})],
+    ("spot", {"array": {"aperture_diameter": 1e154}}, "array.aperture_diameter"),
+    ("beam-map", {"array": {"aperture_diameter": 50.0, "spacing": 1.0, "fill_fraction": 0.95,
+                            "seed": -1},
+                  "beam": {"target": [0, 0, 500.0]}, "output": {"grid_n": 21}}, "array.seed"),
 ])
 def test_exit_code_for_inputs_that_used_to_escape(tmp_path, capsys, command, scenario,
                                                   field_path):
@@ -360,7 +371,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_spot_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     src = str(Path(skybeam.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -369,4 +380,4 @@ def test_only_spot_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"import": False, "link": False, "econ": False,
                                        "safety": False, "coverage": False,
-                                       "beam-map": False, "spot": True}
+                                       "beam-map": False, "spot": False}

@@ -271,6 +271,23 @@ def test_airy_closed_form_matches_radial_quadrature(rf10cm):
     assert sb.airy_encircled_fraction(0.0, 1000.0, rf10cm, 10_000.0) == 0.0
 
 
+def test_bessel_port_matches_scipy():
+    """field._j0 / _j1 port the Cephes approximations that scipy.special.j0 / j1
+    evaluate, so they agree bit for bit on both branches and at their edges."""
+    from scipy import special
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate([
+        rng.uniform(0.0, 5.0, 40_000),              # rational branch
+        rng.uniform(5.0, 60.0, 40_000),             # asymptotic branch
+        10.0 ** rng.uniform(-8.0, 6.0, 20_000),     # every scale, x < 1e-5 included
+        [0.0, 1e-5, math.nextafter(1e-5, 0.0), 5.0, math.nextafter(5.0, 0.0),
+         math.nextafter(5.0, 6.0), *(1.22 * math.pi * n for n in (1, 2, 3))],
+    ])
+    assert np.count_nonzero(x < 1e-5) > 1000 and 5.0 in x
+    np.testing.assert_array_equal([field._j0(v) for v in x.tolist()], special.j0(x))
+    np.testing.assert_array_equal([field._j1(v) for v in x.tolist()], special.j1(x))
+
+
 def test_encircled_energy_resolution_guards(rf10cm):
     layout = sb.make_planar_array(0.65, 0.05)
     cmd = sb.focus_command(layout, rf10cm, [0.0, 0.0, 150.0], 1.0)

@@ -229,6 +229,7 @@ BOUNDS = [
      [0.0, 0.0, math.nextafter(0.1, 1.0)], {}),
     ("cost.panel_cost", 0.0, "must be positive when rf_uplift is null", TINY, {}),
     ("output.grid_n", 2001, "must be at most 2000 (a map of 4000000 points)", 2000, {}),
+    ("array.seed", -1, "must be non-negative", 0, {}),
 ]
 
 

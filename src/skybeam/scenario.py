@@ -4,6 +4,13 @@ Unspecified fields fall back to the single-aisle baseline case (50 t airliner,
 1 km farm aperture, 10 cm carrier). Validation failures name the offending
 field as `section.key` and surface as ScenarioValidationError (CLI exit 4).
 
+Every number read from a file lies in one magnitude window: none exceeds
+MAX_MAGNITUDE, and a quantity, fraction or angle that is positive is at least
+MIN_MAGNITUDE (zero stays allowed where its bound allows it). Inside the
+window every closed form the reports print is a finite float, so the
+commands need no overflow checks of their own. Derived values, such as the
+default spacing of half a wavelength, are not held to the window.
+
 Every field is one row of `_FIELDS`: (section, key, default, kind). A kind
 takes the raw value (the default when the key is absent), the field path and
 the values read so far, and returns the checked value or raises with the path.
@@ -24,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .core import ArrayLayout, RfSpec, make_planar_array
 from .economics import CostModel
 from .errors import (InvalidArgumentError, ScenarioFileError, ScenarioParseError,
@@ -53,6 +59,11 @@ MAX_MISSION_STEPS = 1_000_000
 _FARM_ROW_SPACING = 31_600.0
 _FARM_ROW = [[i * _FARM_ROW_SPACING, 0.0] for i in range(17)]
 
+# The magnitude window of every scenario number (module docstring). Its
+# extreme corners give report values from about 1e-96 to 1e109.
+MAX_MAGNITUDE = 1e15
+MIN_MAGNITUDE = 1e-9
+
 
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
@@ -70,7 +81,8 @@ def _finite(value, path: str) -> float:
     """A JSON number as a finite float.
 
     json.loads accepts NaN, Infinity and -Infinity, and reads literals beyond
-    the float range (1e999) as infinities; none of them is a valid quantity.
+    the float range (1e999) as infinities; none of them is a valid quantity,
+    and neither is a magnitude above MAX_MAGNITUDE.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioValidationError(path, "must be a number")
@@ -80,11 +92,22 @@ def _finite(value, path: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ScenarioValidationError(path, "must be finite")
+    if abs(number) > MAX_MAGNITUDE:
+        raise ScenarioValidationError(path, f"is too large: magnitudes stop at {MAX_MAGNITUDE:g}")
+    return number
+
+
+def _floor(number: float, path: str) -> float:
+    """A number that is 0, negative or at least MIN_MAGNITUDE."""
+    if 0.0 < number < MIN_MAGNITUDE:
+        raise ScenarioValidationError(
+            path, f"is too small: positive values start at {MIN_MAGNITUDE:g}")
     return number
 
 
 def _bound(*tests, optional: bool = False):
-    """Kind of a finite number passing each (test, message); null only if optional."""
+    """Kind of a number in the window passing each (test, message); null only
+    if optional. The floor is checked after the tests."""
     def kind(value, path: str, values=None):
         if value is None:
             if optional:
@@ -94,7 +117,7 @@ def _bound(*tests, optional: bool = False):
         for test, message in tests:
             if not test(number):
                 raise ScenarioValidationError(path, message)
-        return number
+        return _floor(number, path)
     return kind
 
 
@@ -155,9 +178,8 @@ def _vector(value, path: str, length: int) -> list[float]:
 
 
 def _spacing(value, path: str, values) -> float:
-    if value is None:
-        value = 0.5 * values["rf"].wavelength
-    spacing = POSITIVE(value, path)
+    # the default is derived, so it is not held to the window
+    spacing = 0.5 * values["rf"].wavelength if value is None else POSITIVE(value, path)
     if spacing >= values["array"]["aperture_diameter"]:
         raise ScenarioValidationError(path, "must be smaller than aperture_diameter")
     return spacing
@@ -167,6 +189,7 @@ def _target(value, path: str, values) -> np.ndarray:
     target = np.asarray(_vector(value, path, 3), dtype=float)
     if target[2] <= 0.0:
         raise ScenarioValidationError(path, "altitude (third entry) must be positive")
+    _floor(target[2], path)
     # the closed-form peak density divides by (wavelength * altitude)^2
     if target[2] <= values["rf"].wavelength:
         raise ScenarioValidationError(path, "altitude (third entry) must exceed the wavelength")
@@ -192,6 +215,8 @@ def _panels(value, path: str, values) -> list[ReceiverPanel]:
         norm = float(np.linalg.norm(normal))
         if norm <= 0.0:
             raise ScenarioValidationError(f"{item_path}.normal", "must be non-zero")
+        # a shorter normal divides back to a vector that is not of unit length
+        _floor(norm, f"{item_path}.normal")
         panels.append(ReceiverPanel(label, np.asarray(normal) / norm, area, eff))
     return panels
 
@@ -212,9 +237,7 @@ def _input_caps(value, path: str, values) -> np.ndarray:
     if isinstance(value, (list, tuple)):
         if len(value) != n_farms:
             raise ScenarioValidationError(path, "list length must match farms")
-        caps = [_finite(c, f"{path}[{idx}]") for idx, c in enumerate(value)]
-        if any(c < 0 for c in caps):
-            raise ScenarioValidationError(path, "must be non-negative")
+        caps = [NON_NEGATIVE(c, f"{path}[{idx}]") for idx, c in enumerate(value)]
     else:
         caps = [NON_NEGATIVE(value, path)] * n_farms
     return np.asarray(caps, dtype=float)
@@ -231,6 +254,7 @@ def _waypoints(value, path: str, values) -> np.ndarray:
         wp = [_finite(v, wp_path) for v in wp]
         if wp[2] <= 0.0:
             raise ScenarioValidationError(wp_path, "altitude must be positive")
+        _floor(wp[2], wp_path)
         if wps:
             delta = np.subtract(wp, wps[-1])
             # a zero-length segment, measured as the mission measures segments
@@ -306,20 +330,13 @@ for _section, *_row in _FIELDS:
     _ROWS[_section].append(_row)
 
 
-def _carrier(value, path: str, other: str) -> float:
-    value = POSITIVE(value, path)
-    if not math.isfinite(SPEED_OF_LIGHT / value):
-        raise ScenarioValidationError(path, f"is too small: the {other} overflows")
-    return value
-
-
 def _build_rf(frequency, wavelength) -> RfSpec:
     if frequency is not None and wavelength is not None:
         raise ScenarioValidationError("rf", "give frequency or wavelength, not both")
     if frequency is not None:
-        return RfSpec.from_frequency(_carrier(frequency, "rf.frequency", "wavelength"))
+        return RfSpec.from_frequency(POSITIVE(frequency, "rf.frequency"))
     wavelength = 0.1 if wavelength is None else wavelength
-    return RfSpec.from_wavelength(_carrier(wavelength, "rf.wavelength", "frequency"))
+    return RfSpec.from_wavelength(POSITIVE(wavelength, "rf.wavelength"))
 
 
 def _build_plan(**fields) -> FlightPlan:

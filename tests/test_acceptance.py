@@ -28,6 +28,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -101,7 +102,8 @@ def test_criterion_2_encircled_energy():
         total = 1.0
         cmd = sb.focus_command(layout, RF, target, total)
         grid = sb.ObservationGrid.horizontal(target, 301, 8.4)
-        fmap = sb.evaluate_field_fast(layout, RF, cmd, grid)
+        # bit-identical at any thread count (criterion 10)
+        fmap = sb.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
 
         spot = sb.first_null_spot_diameter(aperture, RF, range_m)
         assert spot == pytest.approx(1.22, rel=1e-12)
@@ -186,7 +188,7 @@ def test_criterion_4_thinned_array_curse():
 
         def disk_power(lay):
             cmd = sb.focus_command(lay, RF, target, total)
-            fmap = sb.evaluate_field_fast(lay, RF, cmd, grid)
+            fmap = sb.evaluate_field_fast(lay, RF, cmd, grid, threads=os.cpu_count())
             return sb.encircled_energy(fmap, target, disk, total)
 
         full = disk_power(layout)

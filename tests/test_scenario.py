@@ -9,7 +9,8 @@ import skybeam as sb
 from skybeam import mission
 from skybeam.errors import (ScenarioFileError, ScenarioParseError,
                             ScenarioValidationError)
-from skybeam.scenario import MAX_MISSION_STEPS, resolve_scenario_path
+from skybeam.scenario import (MAX_MAGNITUDE, MAX_MISSION_STEPS, MIN_MAGNITUDE,
+                              resolve_scenario_path)
 
 
 def write(tmp_path, data):
@@ -173,63 +174,94 @@ def test_mission_step_cap_rejects_before_sampling(tmp_path, monkeypatch):
 
 TINY = math.ulp(0.0)        # smallest positive float
 ABOVE_ONE = math.nextafter(1.0, 2.0)
+FLOOR, CEILING = MIN_MAGNITUDE, MAX_MAGNITUDE
+BELOW_FLOOR = math.nextafter(FLOOR, 0.0)
+ABOVE_CEILING = math.nextafter(CEILING, math.inf)
+TOO_SMALL = "is too small: positive values start at 1e-09"
+TOO_LARGE = "is too large: magnitudes stop at 1e+15"
+# the lowest frequency whose wavelength (c / frequency) lies under a target
+# at the ceiling
+LOWEST_FREQUENCY = (3e-7, {"array": {"spacing": 1.0}, "beam": {"target": [0, 0, CEILING]}})
 
 # (field path, value just outside the bound, message, value on the inside
 # edge of the bound, other fields the inside value needs)
 BOUNDS = [
-    ("rf.frequency", 0.0, "must be positive", 1e-299,
-     {"array": {"spacing": 1.0}, "beam": {"target": [0, 0, 1e308]}}),
-    ("rf.wavelength", 0.0, "must be positive", 1e-299, {}),
-    ("array.aperture_diameter", 0.0, "must be positive", 1e-300,
-     {"array": {"spacing": 1e-310}}),
-    ("array.spacing", 0.0, "must be positive", TINY, {}),
+    ("rf.frequency", 0.0, "must be positive", *LOWEST_FREQUENCY),
+    ("rf.wavelength", 0.0, "must be positive", FLOOR, {}),
+    # the default spacing of half a wavelength is derived, so it may lie
+    # under the floor
+    ("array.aperture_diameter", 0.0, "must be positive", FLOOR, {"rf": {"wavelength": FLOOR}}),
+    ("array.spacing", 0.0, "must be positive", FLOOR, {}),
     ("array.spacing", 1000.0, "must be smaller than aperture_diameter",
      math.nextafter(1000.0, 0.0), {}),
-    ("array.fill_fraction", 0.0, "must be in (0, 1]", TINY, {}),
+    ("array.fill_fraction", 0.0, "must be in (0, 1]", FLOOR, {}),
     ("array.fill_fraction", ABOVE_ONE, "must be in (0, 1]", 1.0, {}),
     ("array.seed", 0.5, "must be an integer", 0, {}),
     ("beam.target", [0.0, 0.0, 0.0], "altitude (third entry) must be positive",
      [0.0, 0.0, 1.0], {}),
-    ("beam.input_power", 0.0, "must be positive", TINY, {}),
+    ("beam.input_power", 0.0, "must be positive", FLOOR, {}),
     *[(f"chain.{key}", value, "must be in [0, 1]", inside, {})
       for key in ("dc_to_rf", "beam_collection", "incidence_cosine", "rf_to_dc")
       for value, inside in ((-TINY, 0.0), (ABOVE_ONE, 1.0))],
-    ("aircraft.mass", 0.0, "must be positive", TINY, {}),
+    ("aircraft.mass", 0.0, "must be positive", FLOOR, {}),
     ("aircraft.lift_to_drag", 1.0, "must exceed 1", ABOVE_ONE, {}),
-    ("aircraft.propulsive_efficiency", 0.0, "must be in (0, 1]", TINY, {}),
+    ("aircraft.propulsive_efficiency", 0.0, "must be in (0, 1]", FLOOR, {}),
     ("aircraft.propulsive_efficiency", ABOVE_ONE, "must be in (0, 1]", 1.0, {}),
-    ("aircraft.cruise_speed", 0.0, "must be positive", TINY, {}),
-    ("aircraft.fuel_burn_reference", 0.0, "must be positive", TINY, {}),
+    ("aircraft.cruise_speed", 0.0, "must be positive", FLOOR, {}),
+    ("aircraft.fuel_burn_reference", 0.0, "must be positive", FLOOR, {}),
     ("network.input_cap", -TINY, "must be non-negative", 0.0, {}),
-    ("network.max_scan_deg", 0.0, "must be in (0, 90)", TINY, {}),
+    ("network.max_scan_deg", 0.0, "must be in (0, 90)", FLOOR, {}),
     ("network.max_scan_deg", 90.0, "must be in (0, 90)", math.nextafter(90.0, 0.0), {}),
-    ("network.max_slant_range", 0.0, "must be positive", TINY, {}),
-    ("plan.speed", 0.0, "must be positive", 1e-300,
-     {"plan": {"waypoints": [[0, 0, 1], [1, 0, 1]], "timestep": 1e300}}),
+    ("network.max_slant_range", 0.0, "must be positive", FLOOR, {}),
+    # the default 500 km route at the floor speed lasts 5e14 s
+    ("plan.speed", 0.0, "must be positive", FLOOR, {"plan": {"timestep": CEILING}}),
     ("plan.timestep", 0.0, "must be positive", 2000.0 / MAX_MISSION_STEPS, {}),
     ("cost.rf_uplift", -TINY, "must be non-negative", 0.0, {}),
     ("cost.solar_lcoe", -TINY, "must be non-negative", 0.0, {}),
     ("cost.panel_cost", -TINY, "must be non-negative", 0.0, {"cost": {"rf_uplift": 0.5}}),
     ("cost.rf_added_cost", -TINY, "must be non-negative", 0.0, {}),
-    ("cost.fuel_cost_per_hour", -TINY, "must be non-negative", TINY, {}),
-    ("cost.fuel_cost_per_hour", 0.0, "must be positive", TINY, {}),
-    ("safety.farm_area", 0.0, "must be positive", TINY, {}),
-    ("safety.surface_density_limit", 0.0, "must be positive", TINY, {}),
-    ("safety.reflected_density_limit", 0.0, "must be positive", TINY, {}),
-    ("econ.territory_area_km2", 0.0, "must be positive", TINY, {}),
-    ("econ.farm_area_km2", 0.0, "must be positive", TINY, {}),
+    ("cost.fuel_cost_per_hour", -TINY, "must be non-negative", FLOOR, {}),
+    ("cost.fuel_cost_per_hour", 0.0, "must be positive", FLOOR, {}),
+    ("safety.farm_area", 0.0, "must be positive", FLOOR, {}),
+    ("safety.surface_density_limit", 0.0, "must be positive", FLOOR, {}),
+    ("safety.reflected_density_limit", 0.0, "must be positive", FLOOR, {}),
+    ("econ.territory_area_km2", 0.0, "must be positive", FLOOR, {}),
+    ("econ.farm_area_km2", 0.0, "must be positive", FLOOR, {}),
     ("output.grid_n", 1, "must be at least 2", 2, {}),
     ("output.grid_n", 2.0, "must be an integer", 2, {}),
-    ("output.map_window", 0.0, "must be positive", TINY, {}),
+    ("output.map_window", 0.0, "must be positive", FLOOR, {}),
     # bounds whose inputs used to escape as exit 1 or a traceback
-    ("rf.wavelength", 1e-300, "is too small: the frequency overflows", 1e-299, {}),
-    ("rf.frequency", 1e-300, "is too small: the wavelength overflows", 1e-299,
-     {"array": {"spacing": 1.0}, "beam": {"target": [0, 0, 1e308]}}),
     ("beam.target", [0.0, 0.0, 0.1], "altitude (third entry) must exceed the wavelength",
      [0.0, 0.0, math.nextafter(0.1, 1.0)], {}),
-    ("cost.panel_cost", 0.0, "must be positive when rf_uplift is null", TINY, {}),
+    ("cost.panel_cost", 0.0, "must be positive when rf_uplift is null", FLOOR, {}),
     ("output.grid_n", 2001, "must be at most 2000 (a map of 4000000 points)", 2000, {}),
     ("array.seed", -1, "must be non-negative", 0, {}),
+    # the magnitude window: a ceiling and a floor row for each scalar kind
+    # (POSITIVE, NON_NEGATIVE, FRACTION, CLOSED_FRACTION, ABOVE_ONE,
+    # SCAN_ANGLE, HOURLY_COST, OPTIONAL, OPTIONAL_POSITIVE and
+    # OPTIONAL_NON_NEGATIVE); a value above 1 is never under the floor
+    ("aircraft.mass", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("aircraft.mass", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("cost.solar_lcoe", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("cost.solar_lcoe", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("array.fill_fraction", -ABOVE_CEILING, TOO_LARGE, 1.0, {}),
+    ("array.fill_fraction", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("chain.dc_to_rf", ABOVE_CEILING, TOO_LARGE, 1.0, {}),
+    ("chain.dc_to_rf", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("aircraft.lift_to_drag", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("network.max_scan_deg", ABOVE_CEILING, TOO_LARGE, math.nextafter(90.0, 0.0), {}),
+    ("network.max_scan_deg", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("cost.fuel_cost_per_hour", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("cost.fuel_cost_per_hour", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("rf.wavelength", ABOVE_CEILING, TOO_LARGE, math.nextafter(CEILING, 0.0),
+     LOWEST_FREQUENCY[1]),
+    ("rf.wavelength", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("rf.frequency", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("rf.frequency", BELOW_FLOOR, TOO_SMALL, *LOWEST_FREQUENCY),
+    ("safety.reflected_density_limit", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("safety.reflected_density_limit", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
+    ("cost.rf_uplift", ABOVE_CEILING, TOO_LARGE, CEILING, {}),
+    ("cost.rf_uplift", BELOW_FLOOR, TOO_SMALL, FLOOR, {}),
 ]
 
 
@@ -248,6 +280,69 @@ def test_field_bounds(path, outside, message, inside, extra):
     assert err.value.field_path == path
     assert str(err.value) == f"{path}: {message}"
     sb.scenario_from_dict(with_field(path, inside, extra))
+
+
+FLOATS = sorted({case[0] for case in BOUNDS} - {"beam.target", "array.seed", "output.grid_n"})
+
+
+@pytest.mark.parametrize("path", FLOATS)
+def test_every_number_field_has_the_window(path):
+    floor_message = "must exceed 1" if path == "aircraft.lift_to_drag" else TOO_SMALL
+    for value, message in ((ABOVE_CEILING, TOO_LARGE), (-ABOVE_CEILING, TOO_LARGE),
+                           (BELOW_FLOOR, floor_message)):
+        with pytest.raises(ScenarioValidationError) as err:
+            sb.scenario_from_dict(with_field(path, value, {}))
+        assert str(err.value) == f"{path}: {message}"
+
+
+def panel(**fields):
+    return {"label": "underside", "normal": [0, 0, -1], "area": 30.0, **fields}
+
+
+@pytest.mark.parametrize("data, path, message", [
+    ({"beam": {"target": [ABOVE_CEILING, 0, 1e4]}}, "beam.target", TOO_LARGE),
+    ({"beam": {"target": [0, 0, BELOW_FLOOR]}}, "beam.target", TOO_SMALL),
+    ({"network": {"farms": [[0, 0], [-ABOVE_CEILING, 0]]}}, "network.farms[1]", TOO_LARGE),
+    ({"network": {"farms": [[0, 0], [1, 0]], "input_cap": [1e6, BELOW_FLOOR]}},
+     "network.input_cap[1]", TOO_SMALL),
+    ({"network": {"farms": [[0, 0], [1, 0]], "input_cap": [1e6, -1.0]}},
+     "network.input_cap[1]", "must be non-negative"),
+    ({"plan": {"waypoints": [[0, 0, 1e4], [ABOVE_CEILING, 0, 1e4]]}}, "plan.waypoints[1]",
+     TOO_LARGE),
+    ({"plan": {"waypoints": [[0, 0, 1e4], [1e5, 0, BELOW_FLOOR]]}}, "plan.waypoints[1]",
+     TOO_SMALL),
+    ({"aircraft": {"panels": [panel(normal=[0, 0, -ABOVE_CEILING])]}},
+     "aircraft.panels[0].normal", TOO_LARGE),
+    # the length of a normal is held to the floor
+    ({"aircraft": {"panels": [panel(normal=[0, 0, -BELOW_FLOOR])]}},
+     "aircraft.panels[0].normal", TOO_SMALL),
+    ({"aircraft": {"panels": [panel(normal=[0, 0, -1e-160])]}},
+     "aircraft.panels[0].normal", TOO_SMALL),
+    ({"aircraft": {"panels": [panel(area=BELOW_FLOOR)]}}, "aircraft.panels[0].area",
+     TOO_SMALL),
+    ({"aircraft": {"panels": [panel(rf_to_dc=BELOW_FLOOR)]}}, "aircraft.panels[0].rf_to_dc",
+     TOO_SMALL),
+    ({"econ": {"coverage_fraction": [0.1, BELOW_FLOOR]}}, "econ.coverage_fraction[1]",
+     TOO_SMALL),
+])
+def test_list_entries_have_the_window(data, path, message):
+    with pytest.raises(ScenarioValidationError) as err:
+        sb.scenario_from_dict(data)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_list_entries_on_the_window_edges_parse():
+    scn = sb.scenario_from_dict({
+        "rf": {"wavelength": FLOOR},
+        "beam": {"target": [CEILING, -CEILING, math.nextafter(FLOOR, 1.0)]},
+        "network": {"farms": [[-CEILING, CEILING], [0, 0]], "input_cap": [FLOOR, 0.0]},
+        "plan": {"waypoints": [[0, 0, FLOOR], [CEILING, 0, CEILING]], "timestep": CEILING},
+        "aircraft": {"panels": [panel(normal=[0, 0, -CEILING], area=FLOOR, rf_to_dc=FLOOR),
+                                panel(normal=[FLOOR, 0, 0])]},
+        "econ": {"coverage_fraction": [FLOOR, 0.0, 1.0]},
+    })
+    assert scn.element_spacing == 0.5 * FLOOR     # derived, so under the floor
+    assert scn.econ_coverage_fractions == (FLOOR, 0.0, 1.0)
 
 
 NULLABLE = {"rf.frequency", "rf.wavelength", "array.spacing", "aircraft.panels",

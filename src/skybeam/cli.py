@@ -21,8 +21,7 @@ from . import link as link_mod
 from .errors import ScenarioValidationError, SkybeamError
 from .field import (ObservationGrid, evaluate_field_fast, focus_command,
                     first_null_spot_diameter, measure_first_null_radius, spot_report)
-from .mission import (FarmNetwork, cruise_power, mission_summary,
-                      simulate_mission)
+from .mission import cruise_power, mission_summary, simulate_mission
 from .scenario import (MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario,
                        thread_count)
 
@@ -74,9 +73,11 @@ def cmd_spot(scn: Scenario, args) -> str:
 
 def cmd_beam_map(scn: Scenario, args) -> str:
     if scn.estimated_element_count() > MAX_MAP_ELEMENTS:
-        raise SkybeamError(
-            f"array too large for a map run (~{scn.estimated_element_count():.3g} "
-            "elements); use a scaled scenario such as spot_scaled")
+        raise ScenarioValidationError(
+            "array.aperture_diameter",
+            f"gives ~{scn.estimated_element_count():.3g} elements at a spacing of "
+            f"{scn.element_spacing:.3g} m, above the map limit of {MAX_MAP_ELEMENTS:.3g}; "
+            "use a scaled scenario such as spot_scaled")
     power = _radiated_power(scn)
     grid_n = scn.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
@@ -152,11 +153,7 @@ def cmd_link(scn: Scenario, args) -> str:
 
 def cmd_coverage(scn: Scenario, args) -> str:
     trace = simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
-    baseline = simulate_mission(
-        scn.plan, scn.aircraft,
-        FarmNetwork.empty(scn.network.max_scan_deg, scn.network.max_slant_range),
-        scn.chain)
-    summary = mission_summary(trace, baseline)
+    summary = mission_summary(trace)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,9 +205,14 @@ def cmd_econ(scn: Scenario, args) -> str:
         ("farm_area_km2", scn.econ_farm_area_km2),
     ]
     # one farm-count row per configured coverage fraction
-    single = len(scn.econ_coverage_fractions) == 1
-    for idx, cov in enumerate(scn.econ_coverage_fractions):
-        tag = "" if single else f"_at_{cov:g}"
+    covs = scn.econ_coverage_fractions
+    tags = [f"_at_{cov:g}" for cov in covs] if len(covs) > 1 else [""]
+    for idx, (cov, tag) in enumerate(zip(covs, tags)):
+        if tag in tags[:idx]:
+            raise ScenarioValidationError(
+                f"econ.coverage_fraction[{idx}]", f"has the row label {tag} of "
+                f"econ.coverage_fraction[{tags.index(tag)}]; entries must differ in "
+                "their first 6 significant digits")
         estimate = econ.farm_network_estimate(scn.territory_area_km2, cov,
                                               scn.econ_farm_area_km2)
         # a zero count has an infinite spacing

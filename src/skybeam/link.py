@@ -36,11 +36,12 @@ class EfficiencyChain:
 
     @property
     def end_to_end(self) -> float:
-        return self.dc_to_rf * self.beam_collection * self.incidence_cosine * self.rf_to_dc
+        return self.at_incidence(self.incidence_cosine)
 
-    def with_incidence(self, cosine: float) -> "EfficiencyChain":
-        """Same chain with the incidence-cosine stage replaced (dynamic geometry)."""
-        return EfficiencyChain(self.dc_to_rf, self.beam_collection, cosine, self.rf_to_dc)
+    def at_incidence(self, cosine: float) -> float:
+        """End-to-end efficiency with the incidence-cosine stage replaced
+        (dynamic geometry)."""
+        return self.dc_to_rf * self.beam_collection * cosine * self.rf_to_dc
 
 
 def delivered_power(input_power: float, chain: EfficiencyChain) -> float:

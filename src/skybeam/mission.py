@@ -70,8 +70,8 @@ class FarmNetwork:
         return self.sites.shape[0]
 
     @classmethod
-    def empty(cls, max_scan_deg: float = 60.0, max_slant_range: float = 20e3) -> "FarmNetwork":
-        return cls(np.zeros((0, 2)), np.zeros(0), max_scan_deg, max_slant_range)
+    def empty(cls) -> "FarmNetwork":
+        return cls(np.zeros((0, 2)), np.zeros(0), 60.0, 20e3)
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,10 @@ class FlightPlan:
     waypoints: np.ndarray         # (k, 3) x, y, altitude [m]
     speed: float                  # m/s
     timestep: float = 10.0        # s
+    # measured once, here: segment lengths, route length at each waypoint [m], steps
+    segment_lengths: np.ndarray = field(init=False, repr=False)
+    distance: np.ndarray = field(init=False, repr=False)
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         wps = np.asarray(self.waypoints, dtype=float)
@@ -90,17 +94,17 @@ class FlightPlan:
             raise InvalidArgumentError("waypoint altitude must be positive")
         if not (self.speed > 0.0 and self.timestep > 0.0):
             raise InvalidArgumentError("speed and timestep must be positive")
-        wps.setflags(write=False)
-        object.__setattr__(self, "waypoints", wps)
-
-    @property
-    def total_length(self) -> float:
-        deltas = np.diff(self.waypoints, axis=0)
-        return float(np.linalg.norm(deltas, axis=1).sum())
-
-    @property
-    def duration(self) -> float:
-        return self.total_length / self.speed
+        seg_len = np.linalg.norm(np.diff(wps, axis=0), axis=1)
+        if np.any(seg_len <= 0.0):
+            raise InvalidArgumentError("consecutive waypoints must be distinct")
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        steps = cum[-1] / self.speed / self.timestep - 1e-12
+        if not math.isfinite(steps):
+            raise InvalidArgumentError("the route must take a finite number of steps")
+        for name, arr in (("waypoints", wps), ("segment_lengths", seg_len), ("distance", cum)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_steps", max(1, math.ceil(steps)))
 
 
 def cruise_power(aircraft: Aircraft) -> float:
@@ -253,15 +257,10 @@ def _sample_route(plan: FlightPlan):
     midpoint (halves the boundary error where coverage switches on or off).
     Step k flies segment `seg_idx[k]`, whose xy heading is `headings[seg_idx[k]]`.
     """
-    wps = plan.waypoints
+    wps, seg_len, cum = plan.waypoints, plan.segment_lengths, plan.distance
     seg = np.diff(wps, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    if np.any(seg_len <= 0.0):
-        raise InvalidArgumentError("consecutive waypoints must be distinct")
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total_t = cum[-1] / plan.speed
-    n_steps = max(1, int(math.ceil(total_t / plan.timestep - 1e-12)))
-    starts = np.arange(n_steps) * plan.timestep
+    starts = np.arange(plan.n_steps) * plan.timestep
     weights = np.minimum(plan.timestep, total_t - starts)
     times = starts + 0.5 * weights
     dist = times * plan.speed
@@ -335,6 +334,15 @@ def _choose_farms(positions, seg_idx, attitudes, world_normals, network: FarmNet
     return choice
 
 
+def _burn(required, delivered, weights, fuel_chain_eff):
+    """Fuel rate that covers the unmet power [kg/s], and its running total [kg]."""
+    # a fully served step leaves required - delivered at about -1 ulp
+    rate = (np.maximum(required - delivered, 0.0)
+            / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff))
+    # add.accumulate adds left to right, so each total has the bits of a per-step `+=`
+    return rate, np.add.accumulate(rate * weights)
+
+
 def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
                      chain: EfficiencyChain) -> MissionTrace:
     """Fly the plan, beaming power from the largest-cap usable farm.
@@ -384,28 +392,25 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
                 # the array pass only picks pairs the scalar calls accept
                 v, panel, cos_inc = _serve(network.sites[j], positions[k], network,
                                            aircraft.panels, attitudes[seg_idx[k]])
-                eff = chain.with_incidence(cos_inc).end_to_end
+                eff = chain.at_incidence(cos_inc)
                 if eff > 0.0:
                     delivered[k] = min(network.input_caps[j], p_ref / eff) * eff
                     farm_index[k] = j
                     slant[k], scan[k], panel_lbl[k], cosine[k] = (
                         v.slant_range, v.scan_deg, panel.label, cos_inc)
 
-    # a fully served step leaves required - delivered at about -1 ulp
-    fuel_rate = (np.maximum(required - delivered, 0.0)
-                 / (JET_FUEL_SPECIFIC_ENERGY * fuel_chain_eff))
-    # add.accumulate adds left to right, so each total has the bits of a per-step `+=`
-    fuel = np.add.accumulate(fuel_rate * weights)
-
+    fuel_rate, fuel = _burn(required, delivered, weights, fuel_chain_eff)
     return MissionTrace(times, weights, positions, farm_index, slant, scan,
                         panel_lbl, cosine, required, delivered, fuel_rate, fuel,
                         fuel_chain_eff, p_ref)
 
 
-def mission_summary(trace: MissionTrace, baseline: MissionTrace) -> dict:
-    """Coverage, fuel totals and savings against a fuel-only baseline trace."""
+def mission_summary(trace: MissionTrace) -> dict:
+    """Coverage, fuel totals and savings against a fuel-only flight, whose burn is
+    the trace's own fuel path with nothing delivered."""
     fuel = trace.total_fuel_kg
-    base = baseline.total_fuel_kg
+    base = float(_burn(trace.required_w, 0.0, trace.weights,
+                       trace.fuel_chain_efficiency)[1][-1])
     return {
         "coverage_fraction": coverage_fraction(trace),
         "duration_s": trace.duration_s,

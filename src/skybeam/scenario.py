@@ -341,10 +341,9 @@ def _build_rf(frequency, wavelength) -> RfSpec:
 
 def _build_plan(**fields) -> FlightPlan:
     plan = FlightPlan(**fields)
-    steps = plan.duration / plan.timestep
-    if steps > MAX_MISSION_STEPS:
+    if plan.n_steps > MAX_MISSION_STEPS:
         raise ScenarioValidationError(
-            "plan.timestep", f"gives {steps:.3g} mission steps over the route "
+            "plan.timestep", f"gives {plan.n_steps:.3g} mission steps over the route "
             f"(limit {MAX_MISSION_STEPS}); use a longer timestep")
     return plan
 

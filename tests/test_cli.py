@@ -101,11 +101,20 @@ def test_beam_map_grid_override(tmp_path, capsys):
     assert n_rows == 41 * 41
 
 
-def test_beam_map_guards_full_scale_array(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "beam-map", "--scenario", "a320_baseline",
-                           "--out", str(tmp_path))
-    assert code == 1
-    assert "too large" in err
+def test_beam_map_guards_full_scale_array(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("layout built before the element cap was checked")
+
+    monkeypatch.setattr(Scenario, "build_layout", refuse)
+    out_dir = tmp_path / "maps"
+    code, out, err = run_cli(capsys, "beam-map", "--scenario", "a320_baseline",
+                             "--out", str(out_dir))
+    # a 1 km disk at a 5 cm pitch: pi * (1000 / 0.1)^2 elements
+    assert (code, out) == (4, "")
+    assert err == ("error: array.aperture_diameter: gives ~3.14e+08 elements at a spacing "
+                   "of 0.05 m, above the map limit of 2e+07; use a scaled scenario such "
+                   "as spot_scaled\n")
+    assert not out_dir.exists()
 
 
 def test_coverage_baseline(tmp_path, capsys):
@@ -121,6 +130,18 @@ def test_coverage_baseline(tmp_path, capsys):
                                                              rel=1e-12)
     trace_lines = (out_dir / "mission_trace.csv").read_text().splitlines()
     assert len(trace_lines) == 1 + 200
+
+
+def test_coverage_flies_one_mission(tmp_path, capsys, monkeypatch):
+    simulate, calls = cli.simulate_mission, []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(cli, "simulate_mission", counted)
+    assert run_cli(capsys, "coverage", "--out", str(tmp_path))[0] == 0
+    assert len(calls) == 1
 
 
 def test_exit_code_missing_file(capsys):
@@ -236,8 +257,8 @@ def test_json_writes_refuse_non_finite_values(tmp_path, capsys, monkeypatch):
     assert "Infinity" not in capsys.readouterr().out
 
     summary = cli.mission_summary
-    monkeypatch.setattr(cli, "mission_summary", lambda trace, baseline: {
-        **summary(trace, baseline), "fuel_saved_kg": math.inf})
+    monkeypatch.setattr(cli, "mission_summary", lambda trace: {
+        **summary(trace), "fuel_saved_kg": math.inf})
     with pytest.raises(ValueError, match="JSON compliant"):
         main(["coverage", "--out", str(tmp_path), "--format", "json"])
     assert capsys.readouterr().out == ""
@@ -366,6 +387,67 @@ def test_econ_refuses_a_coverage_fraction_with_no_farms(tmp_path, capsys, covera
     assert err == (f"error: econ.coverage_fraction[{index}]: gives {count} farms with a "
                    f"mean spacing of {spacing} km; the count must be positive and the "
                    "spacing finite\n")
+
+
+@pytest.mark.parametrize("coverage, index, earlier, tag", [
+    ([0.1234567, 0.1234568, 0.5], 1, 0, "0.123457"),     # equal to 6 significant digits
+    ([0.5, 0.2, 0.5], 2, 0, "0.5"),                       # one entry given twice
+    ([0.25, 0.001, 0.0010000001], 2, 1, "0.001"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_econ_refuses_coverage_fractions_that_share_a_row_label(tmp_path, capsys, coverage,
+                                                                index, earlier, tag, fmt):
+    path = _scenario_file(tmp_path, "a320_baseline", econ={"coverage_fraction": coverage})
+    code, out, err = run_cli(capsys, "econ", "--scenario", path, "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == (f"error: econ.coverage_fraction[{index}]: has the row label _at_{tag} of "
+                   f"econ.coverage_fraction[{earlier}]; entries must differ in their first "
+                   "6 significant digits\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_econ_prints_one_row_set_per_coverage_fraction(tmp_path, capsys, fmt):
+    coverage = [0.123456, 0.123457, 0.5]
+    path = _scenario_file(tmp_path, "a320_baseline", econ={"coverage_fraction": coverage})
+    code, out, _ = run_cli(capsys, "econ", "--scenario", path, "--format", fmt)
+    assert code == 0
+    keys = list(json.loads(out)) if fmt == "json" else list(parse_report(out))
+    tagged = [key for key in keys if "_at_" in key]
+    assert len(tagged) == len(set(tagged)) == 3 * len(coverage)
+
+
+# (aperture diameter, range, pitch in wavelengths, map peak / closed-form peak):
+# a filled grid at the matched pitch lambda / sqrt(pi) reproduces the uniform
+# circular aperture; at half a wavelength the isolated-element sum radiates
+# 4 / pi times more
+MAP_VS_SPOT = [
+    (4.0, 40.0, 1.0 / math.sqrt(math.pi), 1.0),
+    (2.0, 40.0, 1.0 / math.sqrt(math.pi), 1.0),
+    (4.0, 80.0, 1.0 / math.sqrt(math.pi), 1.0),
+    (4.0, 40.0, 0.5, 4.0 / math.pi),
+]
+
+
+@pytest.mark.parametrize("diameter, range_m, pitch, ratio", MAP_VS_SPOT,
+                         ids=["matched-D4-R40", "matched-D2-R40", "matched-D4-R80",
+                              "half-wave-D4-R40"])
+def test_beam_map_peak_matches_the_spot_closed_form(tmp_path, capsys, diameter, range_m,
+                                                     pitch, ratio):
+    wavelength = 0.1
+    path = _scenario_file(
+        tmp_path, "spot_scaled", rf={"wavelength": wavelength},
+        array={"aperture_diameter": diameter, "spacing": pitch * wavelength,
+               "fill_fraction": 1.0},
+        beam={"target": [0.0, 0.0, range_m]})
+    code, out, err = run_cli(capsys, "spot", "--scenario", path, "--format", "json")
+    assert code == 0, err
+    closed_form = json.loads(out)["peak_density_W_per_m2"]
+    # an odd grid puts a sample on the focus
+    code, out, err = run_cli(capsys, "beam-map", "--scenario", path, "--format", "json",
+                             "--grid-n", "21", "--out", str(tmp_path / "map"))
+    assert code == 0, err
+    mapped = json.loads(out)["peak_density_W_per_m2"]
+    assert mapped / closed_form == pytest.approx(ratio, rel=0.01)
 
 
 @pytest.mark.parametrize("command", ["beam-map", "spot"])

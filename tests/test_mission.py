@@ -197,7 +197,7 @@ def test_delivered_never_exceeds_cap_times_chain():
     chain = default_chain()
     trace = sb.simulate_mission(plan, a320(), net, chain)
     # incidence cosine can only reduce the chain below its static product
-    limit = cap * chain.with_incidence(1.0).end_to_end
+    limit = cap * chain.at_incidence(1.0)
     assert np.all(trace.delivered_w <= limit * (1 + 1e-12))
 
 
@@ -254,11 +254,11 @@ def test_mission_summary_contents():
     trace = sb.simulate_mission(plan, a320(), net, default_chain())
     baseline = sb.simulate_mission(plan, a320(), sb.FarmNetwork.empty(),
                                    default_chain())
-    summary = sb.mission_summary(trace, baseline)
+    summary = sb.mission_summary(trace)
     assert summary["fuel_only_baseline_kg"] == pytest.approx(
         2400.0 * trace.duration_s / 3600.0, rel=1e-12)
-    assert summary["fuel_saved_kg"] == pytest.approx(
-        baseline.total_fuel_kg - trace.total_fuel_kg, rel=1e-12)
+    assert summary["fuel_only_baseline_kg"] == baseline.total_fuel_kg
+    assert summary["fuel_saved_kg"] == baseline.total_fuel_kg - trace.total_fuel_kg
     assert 0.0 < summary["coverage_fraction"] <= 1.0
 
 
@@ -269,6 +269,21 @@ def test_plan_validation():
         sb.FlightPlan(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 10.0]]), 250.0)
     with pytest.raises(InvalidArgumentError):
         sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [1.0, 0.0, 10.0]]), 0.0)
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [1.0, 0.0, 10.0], [1.0, 0.0, 10.0]]), 250.0)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [math.nan, 0.0, 10.0]]), 250.0)
+
+
+def test_plan_counts_its_steps():
+    # 1000 m at 250 m/s is 4 s: two full 1.5 s steps and one of 1 s
+    plan = sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [600.0, 0.0, 10.0],
+                                   [600.0, 400.0, 10.0]]), 250.0, 1.5)
+    assert plan.n_steps == 3
+    assert plan.distance.tolist() == [0.0, 600.0, 1000.0]
+    # a route of exactly whole steps gets no extra step for rounding
+    assert sb.FlightPlan(plan.waypoints, 250.0, 0.4).n_steps == 10
+    assert sb.FlightPlan(plan.waypoints, 250.0, 100.0).n_steps == 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +328,7 @@ def reference_mission(plan, aircraft, network, chain):
             except NoVisiblePanelError:
                 continue
             vis_farms.append(j)
-            effs.append(chain.with_incidence(cos_inc).end_to_end)
+            effs.append(chain.at_incidence(cos_inc))
             info[j] = (v.slant_range, v.scan_deg, panel.label, cos_inc)
 
         res = sb.assign_farms([required[k]], [vis_farms], [effs], network.input_caps)
@@ -424,6 +439,16 @@ def test_simulate_mission_matches_scalar_reference(case, tmp_path):
     got = sb.simulate_mission(plan, aircraft, network, chain)
     want = reference_mission(plan, aircraft, network, chain)
     _assert_bit_equal(got, want, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_summary_baseline_is_the_fuel_only_mission(case):
+    plan, aircraft, network, chain = ORACLE_CASES[case]()
+    trace = sb.simulate_mission(plan, aircraft, network, chain)
+    fuel_only = sb.simulate_mission(plan, aircraft, sb.FarmNetwork.empty(), chain)
+    assert plan.n_steps == trace.n_steps
+    base = sb.mission_summary(trace)["fuel_only_baseline_kg"]
+    assert base.hex() == float(fuel_only.fuel_kg[-1]).hex()
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import skybeam as sb
@@ -28,7 +29,7 @@ def test_minimal_scenario_gets_defaults(tmp_path):
     assert scn.chain.end_to_end == pytest.approx(0.2, rel=1e-12)
     assert scn.cost.solar_lcoe == 24.0
     assert scn.network.n_farms == 17
-    assert scn.plan.duration == pytest.approx(2000.0, rel=1e-12)
+    assert scn.plan.n_steps == 200
 
 
 def test_empty_scenario_is_fully_defaulted(tmp_path):
@@ -169,7 +170,35 @@ def test_mission_step_cap_rejects_before_sampling(tmp_path, monkeypatch):
     with pytest.raises(ScenarioValidationError):
         sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-320}}))
     scn = sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 2000.0 / MAX_MISSION_STEPS}}))
-    assert scn.plan.duration / scn.plan.timestep == pytest.approx(MAX_MISSION_STEPS)
+    assert scn.plan.n_steps == MAX_MISSION_STEPS
+
+
+def test_mission_step_cap_counts_the_sampled_steps(tmp_path):
+    # a 12-leg route whose leg lengths add up to different totals summed in
+    # order (as the sampler does) and pairwise (as numpy's sum does)
+    rng = np.random.default_rng(0)
+    xy = np.vstack([[0.0, 0.0], np.column_stack([np.cumsum(rng.uniform(1e3, 5e4, 12)),
+                                                 rng.uniform(-2e4, 2e4, 12)])])
+    wps = np.column_stack([xy, np.full(13, 1e4)])
+    length = sb.FlightPlan(wps, 250.0).distance[-1]
+    assert np.linalg.norm(np.diff(wps, axis=0), axis=1).sum() != length
+    timestep = length / 250.0 / MAX_MISSION_STEPS
+    for _ in range(3):
+        timestep = math.nextafter(timestep, 0.0)
+    accepted = []
+    for _ in range(7):
+        steps = sb.FlightPlan(wps, 250.0, timestep).n_steps
+        try:
+            sb.parse_scenario(write(tmp_path, {"plan": {"waypoints": wps.tolist(),
+                                                        "timestep": timestep}}))
+        except ScenarioValidationError as err:
+            assert err.field_path == "plan.timestep"
+            accepted.append(False)
+        else:
+            accepted.append(True)
+        assert accepted[-1] == (steps <= MAX_MISSION_STEPS), (timestep, steps)
+        timestep = math.nextafter(timestep, math.inf)
+    assert accepted[0] is False and accepted[-1] is True
 
 
 TINY = math.ulp(0.0)        # smallest positive float

@@ -19,7 +19,7 @@ from skybeam.scenario import MAX_MAGNITUDE, MIN_MAGNITUDE, resolve_scenario_path
 
 SEED = 20240613
 COMMANDS = ("spot", "link", "econ", "safety", "coverage")
-# `coverage` runs two missions per call; timesteps are drawn for at most this
+# `coverage` runs one mission per call; timesteps are drawn for at most this
 # many steps, well under the 1e6-step cap, to keep the sweep within seconds
 MAX_SWEEP_STEPS = 2_000
 

@@ -151,6 +151,10 @@ def cmd_link(scn: Scenario, args) -> str:
     return _emit(pairs, args.format == "json", "link budget")
 
 
+# report names of the mission_summary keys that differ from their JSON names
+_REPORT_NAMES = {"reference_cruise_power_w": "reference_cruise_power_W"}
+
+
 def cmd_coverage(scn: Scenario, args) -> str:
     trace = simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
     summary = mission_summary(trace)
@@ -162,18 +166,8 @@ def cmd_coverage(scn: Scenario, args) -> str:
     json_path = out_dir / "mission_summary.json"
     json_path.write_text(_json(summary), encoding="utf-8")
 
-    pairs = [
-        ("coverage_fraction", summary["coverage_fraction"]),
-        ("duration_s", summary["duration_s"]),
-        ("total_fuel_kg", summary["total_fuel_kg"]),
-        ("fuel_only_baseline_kg", summary["fuel_only_baseline_kg"]),
-        ("fuel_saved_kg", summary["fuel_saved_kg"]),
-        ("fuel_saved_fraction", summary["fuel_saved_fraction"]),
-        ("fuel_chain_efficiency", summary["fuel_chain_efficiency"]),
-        ("reference_cruise_power_W", summary["reference_cruise_power_w"]),
-        ("trace_csv", str(csv_path)),
-        ("summary_json", str(json_path)),
-    ]
+    pairs = [(_REPORT_NAMES.get(k, k), v) for k, v in summary.items()]
+    pairs += [("trace_csv", str(csv_path)), ("summary_json", str(json_path))]
     return _emit(pairs, args.format == "json", "mission coverage")
 
 

@@ -277,9 +277,9 @@ def _sample_route(plan: FlightPlan):
 _BLOCK = 64
 
 # The array pass may round slant, scan and the panel cosines a few ulps away
-# from the scalar farm_visibility / best_panel. Pairs whose array value lies
-# within this band of a bound (relative for slant, degrees for scan, absolute
-# for the cosine) are decided again with the scalar calls.
+# from the scalar farm_visibility / best_panel, so it keeps every pair within
+# this band of a bound (relative for slant, degrees for scan, absolute for the
+# cosine); _serve then decides each kept pair.
 _BAND = 1e-9
 
 
@@ -296,16 +296,12 @@ def _serve(site, position, network: FarmNetwork, panels, attitude):
     return v, panel, cos_inc
 
 
-def _choose_farms(positions, seg_idx, attitudes, world_normals, network: FarmNetwork,
-                  panels) -> np.ndarray:
-    """Farm per step with the largest input cap among the usable ones, or -1.
+def _candidates(positions, seg_idx, world_normals, network: FarmNetwork) -> np.ndarray:
+    """(steps x farms) mask of the pairs _serve may accept.
 
-    A pair is usable when the farm sees the aircraft within its slant and scan
-    limits and some panel faces the beam. Ties go to the lowest farm index,
-    as in assign_farms with a single aircraft.
+    One array pass over slant, scan and the best panel cosine, each widened by
+    _BAND at its bound, so it holds every pair _serve accepts.
     """
-    if not network.n_farms:
-        return np.full(positions.shape[0], -1)
     sites = network.sites
     dx = positions[:, 0, None] - sites[None, :, 0]
     dy = positions[:, 1, None] - sites[None, :, 1]
@@ -314,24 +310,12 @@ def _choose_farms(positions, seg_idx, attitudes, world_normals, network: FarmNet
     scan = np.degrees(np.arccos(np.minimum(1.0, pz / slant)))
     slant_lim = network.max_slant_range * (1.0 + 1e-12)
     scan_lim = network.max_scan_deg + 1e-9
-    visible = (slant <= slant_lim) & (scan <= scan_lim)
     # best incidence cosine -(R n) . b over the panels, with b = (dx, dy, pz) / slant
     facing = np.full(slant.shape, -np.inf)
     for wx, wy, wz in world_normals[seg_idx].transpose(2, 1, 0)[..., None]:
         np.maximum(facing, -(dx * wx + dy * wy + pz * wz), out=facing)
-    cosine = facing / slant
-    usable = visible & (cosine > 0.0)
-
-    near = ((np.abs(slant - slant_lim) <= _BAND * slant_lim)
-            | (np.abs(scan - scan_lim) <= _BAND)
-            | (visible & (np.abs(cosine) <= _BAND)))
-    for k, j in zip(*np.nonzero(near)):
-        usable[k, j] = _serve(sites[j], positions[k], network, panels,
-                              attitudes[seg_idx[k]]) is not None
-
-    choice = np.where(usable, network.input_caps, -1.0).argmax(axis=1)
-    choice[~usable.any(axis=1)] = -1
-    return choice
+    return ((slant <= slant_lim * (1.0 + _BAND)) & (scan <= scan_lim + _BAND)
+            & (facing / slant > -_BAND))
 
 
 def _burn(required, delivered, weights, fuel_chain_eff):
@@ -356,9 +340,10 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     calibrated so the fuel-only case reproduces the aircraft's reference burn
     at reference cruise power; the cumulative burn is a running sum.
 
-    The farm choice is made by array passes over blocks of steps x farms;
-    pairs on a visibility or shadow bound, and the reported geometry of each
-    served step, come from the scalar farm_visibility and best_panel.
+    An array pass over each block of steps x farms only prunes the pairs no
+    farm_visibility / best_panel call could accept. Those scalar calls decide:
+    each step walks its remaining farms from the largest cap down and takes
+    the first they accept, whose slant, scan, panel and cosine are reported.
     """
     times, weights, positions, seg_idx, headings = _sample_route(plan)
     n = times.shape[0]
@@ -382,22 +367,29 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     required = np.full(n, p_ref)
     delivered = np.zeros(n)
 
+    # the walk order: largest cap first, lowest index on ties; a zero cap
+    # serves nothing, and nor does any farm after it in this order
+    order = np.argsort(-network.input_caps, kind="stable")
+    order = order[network.input_caps[order] > 0.0]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        choice = _choose_farms(positions[block], seg_idx[block], attitudes, world_normals,
-                               network, aircraft.panels)
-        for k in start + np.flatnonzero(choice >= 0):
-            j = int(choice[k - start])
-            if p_ref > 0.0 and network.input_caps[j] > 0.0:
-                # the array pass only picks pairs the scalar calls accept
-                v, panel, cos_inc = _serve(network.sites[j], positions[k], network,
-                                           aircraft.panels, attitudes[seg_idx[k]])
-                eff = chain.at_incidence(cos_inc)
-                if eff > 0.0:
-                    delivered[k] = min(network.input_caps[j], p_ref / eff) * eff
-                    farm_index[k] = j
-                    slant[k], scan[k], panel_lbl[k], cosine[k] = (
-                        v.slant_range, v.scan_deg, panel.label, cos_inc)
+        usable = _candidates(positions[block], seg_idx[block], world_normals, network)[:, order]
+        for i in np.flatnonzero(usable.any(axis=1)):
+            k = start + i
+            for j in order[usable[i]]:
+                served = _serve(network.sites[j], positions[k], network, aircraft.panels,
+                                attitudes[seg_idx[k]])
+                if served is not None:
+                    break
+            else:
+                continue
+            v, panel, cos_inc = served
+            eff = chain.at_incidence(cos_inc)
+            if p_ref > 0.0 and eff > 0.0:
+                delivered[k] = min(network.input_caps[j], p_ref / eff) * eff
+                farm_index[k] = j
+                slant[k], scan[k], panel_lbl[k], cosine[k] = (
+                    v.slant_range, v.scan_deg, panel.label, cos_inc)
 
     fuel_rate, fuel = _burn(required, delivered, weights, fuel_chain_eff)
     return MissionTrace(times, weights, positions, farm_index, slant, scan,

@@ -61,7 +61,7 @@ def _measured_null(aperture, spacing, range_m, grid_n, window):
     target = np.array([0.0, 0.0, range_m])
     cmd = sb.focus_command(layout, RF, target, 1.0)
     grid = sb.ObservationGrid.horizontal(target, grid_n, window)
-    fmap = sb.evaluate_field_fast(layout, RF, cmd, grid)
+    fmap = sb.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
     return sb.measure_first_null_radius(fmap)
 
 

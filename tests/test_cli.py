@@ -144,6 +144,23 @@ def test_coverage_flies_one_mission(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_summary_key_reaches_the_report(tmp_path, capsys, monkeypatch, fmt):
+    # a key added to mission_summary reaches both reports with no second list
+    summarize = cli.mission_summary
+    monkeypatch.setattr(cli, "mission_summary",
+                        lambda trace: {**summarize(trace), "probe_kg": 1.5})
+    code, out, _ = run_cli(capsys, "coverage", "--out", str(tmp_path), "--format", fmt)
+    assert code == 0
+    report = json.loads(out) if fmt == "json" else parse_report(out)
+    summary = json.loads((tmp_path / "mission_summary.json").read_text())
+    assert "probe_kg" in summary
+    if fmt == "csv":
+        summary = {k: format(v, ".10g") for k, v in summary.items()}
+    assert {k.lower(): v for k, v in report.items()
+            if k not in ("trace_csv", "summary_json")} == summary
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run_cli(capsys, "spot", "--scenario", "/nonexistent/file.json")
     assert code == 2

@@ -473,27 +473,70 @@ def _limit_giving(target, limit_of, guess):
 
 @pytest.mark.parametrize("limit", ["slant", "scan"])
 def test_simulate_mission_on_exact_limits(limit, tmp_path):
-    # one step at x = 1250 m; each farm offset puts the padded limit exactly on,
-    # or one ulp under, the scalar slant or scan of that step. The array pass
-    # rounds some of these differently and must defer to the scalar calls.
-    plan = _straight_plan(length_m=2_500.0)
-    served = set()
-    for offset in 12_000.0 + 0.731 * np.arange(48):
-        site = np.array([[1_250.0 + 0.37 * offset, offset]])
-        v = sb.farm_visibility(site[0], [1_250.0, 0.0, 10_000.0], _network(site))
-        value = v.slant_range if limit == "slant" else v.scan_deg
-        for target in (value, float(np.nextafter(value, -math.inf))):
+    # A seeded search for step-farm pairs whose array slant or scan, computed
+    # as in mission._candidates, rounds above the scalar farm_visibility value.
+    # Each found pair gets a network whose padded limit is exactly that scalar
+    # value, or one ulp under it: only the prefilter's band keeps the pair on
+    # the limit, where the scalar calls accept it.
+    plan = _straight_plan(length_m=160_000.0)
+    _, _, positions, _, _ = mission._sample_route(plan)
+    rng = np.random.default_rng(2)
+    sites = np.column_stack([rng.uniform(0.0, 160e3, 400), rng.uniform(-15e3, 15e3, 400)])
+    dx = positions[:, 0, None] - sites[None, :, 0]
+    dy = positions[:, 1, None] - sites[None, :, 1]
+    pz = positions[:, 2, None]
+    array = np.sqrt(dx * dx + dy * dy + pz * pz)
+    if limit == "scan":
+        array = np.degrees(np.arccos(np.minimum(1.0, pz / array)))
+    attr = "slant_range" if limit == "slant" else "scan_deg"
+    seen = _network(sites)
+    scalar = np.array([[getattr(sb.farm_visibility(site, pos, seen), attr)
+                        for site in sites] for pos in positions])
+    above = np.argwhere(array > scalar)[:4]
+    assert len(above), "no array value rounds above its scalar value"
+    for k, j in above:
+        value = scalar[k, j]
+        for target, served in ((value, 0), (float(np.nextafter(value, -math.inf)), -1)):
             if limit == "slant":
-                net = sb.FarmNetwork(site, 100e6, 89.0, _limit_giving(
+                net = sb.FarmNetwork(sites[j], 100e6, 89.0, _limit_giving(
                     target, lambda m: m * (1.0 + 1e-12), target / (1.0 + 1e-12)))
             else:
-                net = sb.FarmNetwork(site, 100e6, _limit_giving(
-                    target, lambda m: m + 1e-9, target - 1e-9), 50_000.0)
+                net = sb.FarmNetwork(sites[j], 100e6, _limit_giving(
+                    target, lambda m: m + 1e-9, target - 1e-9), 1e6)
             got = sb.simulate_mission(plan, a320(), net, default_chain())
             _assert_bit_equal(got, reference_mission(plan, a320(), net, default_chain()),
                               tmp_path)
-            served.add(int(got.farm_index[0]))
-    assert served == {-1, 0}
+            assert got.farm_index[k] == served
+
+
+@pytest.mark.parametrize("scan, slant", [(45.0, 20_000.0), (70.0, 14_000.0)],
+                         ids=["scan_bound", "slant_bound"])
+def test_coverage_matches_closed_form_intervals(scan, slant):
+    # Level flight along x at altitude h over an on-track farm row (d = 0) and a
+    # row offset by d = 6 km: farm j sees the aircraft while
+    # |x - x_j| <= min(sqrt(R^2 - h^2 - d^2), sqrt(h^2 tan^2(scan) - d^2)).
+    # Steps are sampled at their midpoints, so each end of a served run lies
+    # within half a step of an end of the union of these intervals.
+    h, d, step = 10_000.0, 6_000.0, 2_500.0
+    plan = _straight_plan(length_m=200_000.0, altitude=h)
+    rows = [(x, 0.0) for x in (24_300.0, 86_100.0, 143_700.0)]
+    rows += [(x, d) for x in (55_600.0, 114_200.0, 176_900.0)]
+    # the farms stand far enough apart that the union is the intervals, sorted
+    union = []
+    for x, y in sorted(rows):
+        half = math.sqrt(min(slant ** 2 - h * h, (h * math.tan(math.radians(scan))) ** 2)
+                         - y * y)
+        union.append([x - half, x + half])
+
+    trace = sb.simulate_mission(plan, a320(), _network(rows, 1e9, scan, slant),
+                                default_chain())
+    served = np.concatenate([[0], trace.farm_index >= 0, [0]])
+    runs = (np.flatnonzero(np.diff(served)) * step).reshape(-1, 2)
+    assert runs.shape == (len(union), 2)
+    assert np.all(np.abs(runs - np.array(union)) <= 0.5 * step + 1e-6)
+    covered = sum(hi - lo for lo, hi in union) / 200_000.0
+    # one timestep per interval end
+    assert abs(sb.coverage_fraction(trace) - covered) <= 2 * len(union) * step / 200_000.0
 
 
 def test_fully_served_steps_burn_no_fuel():

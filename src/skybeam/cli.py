@@ -54,11 +54,11 @@ def _radiated_power(scn: Scenario) -> float:
 
 
 def cmd_spot(scn: Scenario, args) -> str:
-    range_m, power = float(scn.beam_target[2]), _radiated_power(scn)
-    report = spot_report(scn.aperture_diameter, scn.rf, range_m, power)
+    range_m, power = float(scn.beam.target[2]), _radiated_power(scn)
+    report = spot_report(scn.array.aperture_diameter, scn.rf, range_m, power)
     fn = report.first_null_diameter
     pairs = [
-        ("aperture_diameter_m", scn.aperture_diameter),
+        ("aperture_diameter_m", scn.array.aperture_diameter),
         ("wavelength_m", scn.rf.wavelength),
         ("range_m", report.range_m),
         ("radiated_power_W", report.radiated_power),
@@ -76,18 +76,18 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         raise ScenarioValidationError(
             "array.aperture_diameter",
             f"gives ~{scn.estimated_element_count():.3g} elements at a spacing of "
-            f"{scn.element_spacing:.3g} m, above the map limit of {MAX_MAP_ELEMENTS:.3g}; "
+            f"{scn.array.spacing:.3g} m, above the map limit of {MAX_MAP_ELEMENTS:.3g}; "
             "use a scaled scenario such as spot_scaled")
     power = _radiated_power(scn)
-    grid_n = scn.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
+    grid_n = scn.output.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
-    command = focus_command(layout, scn.rf, scn.beam_target, power)
-    window = scn.map_window
+    command = focus_command(layout, scn.rf, scn.beam.target, power)
+    window = scn.output.map_window
     if window is None:
         spot = first_null_spot_diameter(layout.aperture_diameter, scn.rf,
-                                        float(scn.beam_target[2]))
+                                        float(scn.beam.target[2]))
         window = 6.0 * spot
-    grid = ObservationGrid.horizontal(scn.beam_target, grid_n, window)
+    grid = ObservationGrid.horizontal(scn.beam.target, grid_n, window)
     fmap = evaluate_field_fast(layout, scn.rf, command, grid, threads=args.threads)
 
     out_dir = Path(args.out)
@@ -114,17 +114,17 @@ def cmd_beam_map(scn: Scenario, args) -> str:
 def _safety_lines(scn: Scenario) -> tuple[list, float, list]:
     """Report lines of the surface-density check, the reflected spot diameter
     and report lines of the reflected-density check."""
-    surface = link_mod.farm_surface_density(scn.beam_input_power, scn.farm_area)
-    range_m = float(scn.beam_target[2])
-    spot = 2.0 * first_null_spot_diameter(scn.aperture_diameter, scn.rf, range_m)
+    surface = link_mod.farm_surface_density(scn.beam.input_power, scn.safety.farm_area)
+    range_m = float(scn.beam.target[2])
+    spot = 2.0 * first_null_spot_diameter(scn.array.aperture_diameter, scn.rf, range_m)
     reflected = link_mod.reflected_ground_density(scn.radiated_power(), spot, scn.rf,
                                                   range_m)
-    limit = scn.reflected_density_limit
+    limit = scn.safety.reflected_density_limit
     return [
         ("farm_surface_density_W_per_m2", surface),
-        ("surface_density_limit_W_per_m2", scn.surface_density_limit),
+        ("surface_density_limit_W_per_m2", scn.safety.surface_density_limit),
         ("surface_density_check",
-         "PASS" if surface <= scn.surface_density_limit else "FAIL"),
+         "PASS" if surface <= scn.safety.surface_density_limit else "FAIL"),
     ], spot, [
         ("reflected_ground_density_W_per_m2", reflected),
         ("reflected_density_check",
@@ -135,10 +135,10 @@ def _safety_lines(scn: Scenario) -> tuple[list, float, list]:
 
 def cmd_link(scn: Scenario, args) -> str:
     chain = scn.chain
-    delivered = link_mod.delivered_power(scn.beam_input_power, chain)
+    delivered = link_mod.delivered_power(scn.beam.input_power, chain)
     surface, _, reflected = _safety_lines(scn)
     pairs = [
-        ("input_power_W", scn.beam_input_power),
+        ("input_power_W", scn.beam.input_power),
         ("stage_dc_to_rf", chain.dc_to_rf),
         ("stage_beam_collection", chain.beam_collection),
         ("stage_incidence_cosine", chain.incidence_cosine),
@@ -195,11 +195,11 @@ def cmd_econ(scn: Scenario, args) -> str:
         ("fuel_price_usd_per_kg",
          econ.fuel_price_per_kg(scn.cost.fuel_cost_per_hour,
                                 scn.aircraft.fuel_burn_reference)),
-        ("territory_area_km2", scn.territory_area_km2),
-        ("farm_area_km2", scn.econ_farm_area_km2),
+        ("territory_area_km2", scn.econ.territory_area_km2),
+        ("farm_area_km2", scn.econ.farm_area_km2),
     ]
     # one farm-count row per configured coverage fraction
-    covs = scn.econ_coverage_fractions
+    covs = scn.econ.coverage_fraction
     tags = [f"_at_{cov:g}" for cov in covs] if len(covs) > 1 else [""]
     for idx, (cov, tag) in enumerate(zip(covs, tags)):
         if tag in tags[:idx]:
@@ -207,8 +207,8 @@ def cmd_econ(scn: Scenario, args) -> str:
                 f"econ.coverage_fraction[{idx}]", f"has the row label {tag} of "
                 f"econ.coverage_fraction[{tags.index(tag)}]; entries must differ in "
                 "their first 6 significant digits")
-        estimate = econ.farm_network_estimate(scn.territory_area_km2, cov,
-                                              scn.econ_farm_area_km2)
+        estimate = econ.farm_network_estimate(scn.econ.territory_area_km2, cov,
+                                              scn.econ.farm_area_km2)
         # a zero count has an infinite spacing
         if not math.isfinite(estimate.mean_spacing_km):
             raise ScenarioValidationError(
@@ -227,8 +227,8 @@ def cmd_econ(scn: Scenario, args) -> str:
 def cmd_safety(scn: Scenario, args) -> str:
     surface, spot, reflected = _safety_lines(scn)
     pairs = [
-        ("input_power_W", scn.beam_input_power),
-        ("farm_area_m2", scn.farm_area),
+        ("input_power_W", scn.beam.input_power),
+        ("farm_area_m2", scn.safety.farm_area),
         *surface,
         ("worst_case_reflected_power_W", scn.radiated_power()),
         ("reflected_spot_diameter_m", spot),

@@ -56,61 +56,35 @@ class RfSpec:
 
 @dataclass(frozen=True)
 class ArrayLayout:
-    """Planar farm array: element centers, grid pitch, realized aperture, fill mask.
+    """Planar farm array: active element centers, grid pitch, realized aperture.
 
-    positions: (n, 3) element centers [m]; z = 0 for a flat farm.
+    positions: (n, 3) centers of the active elements [m], in grid row-major
+        order; z = 0 for a flat farm. n may be 0.
     element_spacing: grid pitch [m].
     aperture_diameter: diameter of the smallest origin-centered disk holding
         every active element [m]; equals the max pairwise horizontal extent
         for symmetric full grids.
-    fill_mask: (n,) bool, True where the element is active.
     """
 
     positions: np.ndarray
     element_spacing: float
     aperture_diameter: float
-    fill_mask: np.ndarray
 
     def __post_init__(self):
         pos = _frozen(self.positions)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise InvalidArgumentError("positions must be a non-empty (n, 3) array")
-        mask = _frozen(self.fill_mask, dtype=bool)
-        if mask.shape != (pos.shape[0],):
-            raise InvalidArgumentError("fill_mask length must match positions")
-        if self.element_spacing <= 0.0:
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise InvalidArgumentError("positions must be an (n, 3) array")
+        if not self.element_spacing > 0.0:
             raise InvalidArgumentError("element_spacing must be positive")
-        if mask.any():
-            radial = np.hypot(pos[mask, 0], pos[mask, 1])
+        if pos.shape[0]:
+            radial = np.hypot(pos[:, 0], pos[:, 1])
             if radial.max() > 0.5 * self.aperture_diameter * (1.0 + 1e-9) + 1e-12:
                 raise InvalidArgumentError("active element outside the stated aperture disk")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "fill_mask", mask)
-
-    @property
-    def n_elements(self) -> int:
-        return self.positions.shape[0]
 
     @property
     def n_active(self) -> int:
-        return int(self.fill_mask.sum())
-
-    @property
-    def active_positions(self) -> np.ndarray:
-        return self.positions[self.fill_mask]
-
-    @property
-    def fill_fraction(self) -> float:
-        return self.n_active / self.n_elements
-
-    def thinned(self, fill_fraction: float, seed: int) -> "ArrayLayout":
-        """Same geometry with elements deactivated Bernoulli(fill_fraction) per element."""
-        if not 0.0 < fill_fraction <= 1.0:
-            raise InvalidArgumentError("fill_fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        mask = self.fill_mask & (rng.random(self.n_elements) < fill_fraction)
-        return ArrayLayout(self.positions, self.element_spacing, self.aperture_diameter,
-                           mask)
+        return self.positions.shape[0]
 
 
 def make_planar_array(aperture_diameter: float, spacing: float,
@@ -118,10 +92,11 @@ def make_planar_array(aperture_diameter: float, spacing: float,
     """Square-grid elements inside a disk of the given diameter, centered at the origin.
 
     Grid indices (i, j) are kept when (i^2 + j^2) * spacing^2 <= (diameter/2)^2
-    (boundary inclusive). With fill_fraction < 1 elements are deactivated
-    uniformly at random; the draw is fully determined by `seed`.
+    (boundary inclusive). With fill_fraction < 1 each kept element, in
+    row-major order, stays active when its draw of default_rng(seed).random
+    falls below fill_fraction.
     """
-    if aperture_diameter <= 0.0 or spacing <= 0.0:
+    if not aperture_diameter > 0.0 or not spacing > 0.0:
         raise InvalidArgumentError("aperture_diameter and spacing must be positive")
     if spacing >= aperture_diameter:
         raise InvalidArgumentError("spacing must be smaller than the aperture diameter")
@@ -135,22 +110,14 @@ def make_planar_array(aperture_diameter: float, spacing: float,
     keep = (ii * ii + jj * jj) <= half_idx * half_idx * (1.0 + 1e-12)
     x = ii[keep] * spacing
     y = jj[keep] * spacing
-    positions = np.column_stack([x, y, np.zeros_like(x)])
-
-    n = positions.shape[0]
     if fill_fraction < 1.0:
-        rng = np.random.default_rng(seed)
-        mask = rng.random(n) < fill_fraction
-    else:
-        mask = np.ones(n, dtype=bool)
+        active = np.random.default_rng(seed).random(x.shape[0]) < fill_fraction
+        x, y = x[active], y[active]
 
-    if mask.any():
-        realized = 2.0 * float(np.hypot(x[mask], y[mask]).max())
-    else:
-        realized = 0.0
+    realized = 2.0 * float(np.hypot(x, y).max()) if x.shape[0] else 0.0
     # keep a non-degenerate aperture even for a single central element
     realized = max(realized, spacing)
-    return ArrayLayout(positions, spacing, realized, mask)
+    return ArrayLayout(np.column_stack([x, y, np.zeros_like(x)]), spacing, realized)
 
 
 @dataclass(frozen=True)
@@ -169,7 +136,7 @@ class BeamCommand:
         target = _frozen(self.target)
         if target.shape != (3,):
             raise InvalidArgumentError("target must be a 3-D point")
-        if self.total_radiated_power <= 0.0:
+        if not self.total_radiated_power > 0.0:
             raise InvalidArgumentError("total_radiated_power must be positive")
         phases = np.asarray(self.phases, dtype=float)
         if phases.ndim != 1:

@@ -49,7 +49,7 @@ def beamed_cost_per_hour(cruise_power_w: float, end_to_end: float,
     """Hourly energy bill [$ / h] to hold cruise power through the given chain."""
     if not 0.0 < end_to_end <= 1.0:
         raise InvalidArgumentError("end_to_end must be in (0, 1]")
-    if cruise_power_w < 0.0 or price_per_mwh < 0.0:
+    if not cruise_power_w >= 0.0 or not price_per_mwh >= 0.0:
         raise InvalidArgumentError("power and price must be non-negative")
     return cruise_power_w / WATTS_PER_MW / end_to_end * price_per_mwh
 
@@ -57,16 +57,16 @@ def beamed_cost_per_hour(cruise_power_w: float, end_to_end: float,
 def breakeven_efficiency(cruise_power_w: float, price_per_mwh: float,
                          fuel_cost_per_hour: float) -> float:
     """End-to-end efficiency at which beamed energy matches the fuel bill."""
-    if fuel_cost_per_hour <= 0.0:
+    if not fuel_cost_per_hour > 0.0:
         raise InvalidArgumentError("fuel_cost_per_hour must be positive")
-    if cruise_power_w < 0.0 or price_per_mwh < 0.0:
+    if not cruise_power_w >= 0.0 or not price_per_mwh >= 0.0:
         raise InvalidArgumentError("power and price must be non-negative")
     return cruise_power_w / WATTS_PER_MW * price_per_mwh / fuel_cost_per_hour
 
 
 def fuel_price_per_kg(fuel_cost_per_hour: float, burn_kg_per_hour: float) -> float:
     """Implied fuel price [$ / kg], a sanity figure for reports."""
-    if burn_kg_per_hour <= 0.0:
+    if not burn_kg_per_hour > 0.0:
         raise InvalidArgumentError("burn_kg_per_hour must be positive")
     return fuel_cost_per_hour / burn_kg_per_hour
 
@@ -84,7 +84,7 @@ def farm_network_estimate(territory_area_km2: float, coverage_fraction: float,
     count = territory * coverage / farm_area; spacing = sqrt(territory / count),
     the pitch of a uniform square grid holding that many sites.
     """
-    if territory_area_km2 <= 0.0 or farm_area_km2 <= 0.0:
+    if not territory_area_km2 > 0.0 or not farm_area_km2 > 0.0:
         raise InvalidArgumentError("areas must be positive")
     if not 0.0 <= coverage_fraction <= 1.0:
         raise InvalidArgumentError("coverage_fraction must be in [0, 1]")

@@ -51,9 +51,9 @@ SPOT_DIAMETER_FACTOR = 1.22
 _BLOCK_ELEMENT_POINTS = 16384
 
 
-def _block_points(n_elements: int) -> int:
-    """Grid points per evaluation block for an array of n_elements."""
-    return max(1, _BLOCK_ELEMENT_POINTS // n_elements)
+def _block_points(n_active: int) -> int:
+    """Grid points per evaluation block for an array of n_active elements."""
+    return max(1, _BLOCK_ELEMENT_POINTS // n_active)
 
 
 def matched_element_spacing(rf: RfSpec) -> float:
@@ -77,7 +77,7 @@ def solve_focus_phases(layout: ArrayLayout, rf: RfSpec, target) -> np.ndarray:
     layout order.
     """
     target = np.asarray(target, dtype=float)
-    pos = layout.active_positions
+    pos = layout.positions
     r = np.linalg.norm(pos - target[None, :], axis=1)
     if r.size and float(r.min()) < 1e-9:
         raise DegenerateGeometryError("focus target coincides with an array element")
@@ -114,7 +114,7 @@ class ObservationGrid:
             raise InvalidArgumentError("center must be a 3-D vector")
         if self.n_u < 2 or self.n_v < 2:
             raise InvalidArgumentError("grid needs at least 2 samples per axis")
-        if self.spacing <= 0.0:
+        if not self.spacing > 0.0:
             raise InvalidArgumentError("grid spacing must be positive")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
@@ -237,7 +237,7 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
     pts = grid.points()
     n_pts = pts.shape[0]
     out = np.zeros(n_pts, dtype=complex)
-    pos = layout.active_positions
+    pos = layout.positions
     if pos.shape[0] > 0:
         if command.phases.shape[0] != layout.n_active:
             raise InvalidArgumentError(
@@ -287,7 +287,7 @@ def first_null_spot_diameter(aperture_diameter: float, rf: RfSpec,
     the figure quoted as the spot "diameter" in the headline link budgets
     (the null-to-null width across the beam is twice this value).
     """
-    if aperture_diameter <= 0.0 or range_m <= 0.0:
+    if not aperture_diameter > 0.0 or not range_m > 0.0:
         raise InvalidArgumentError("aperture_diameter and range must be positive")
     return SPOT_DIAMETER_FACTOR * rf.wavelength * range_m / aperture_diameter
 
@@ -300,7 +300,7 @@ def encircled_energy(fmap: FieldMap, center, disk_diameter: float,
     disk around `center` (a point on the map plane). Requires at least 8
     samples across the disk and the whole disk inside the map extent.
     """
-    if disk_diameter <= 0.0 or total_power <= 0.0:
+    if not disk_diameter > 0.0 or not total_power > 0.0:
         raise InvalidArgumentError("disk_diameter and total_power must be positive")
     grid = fmap.grid
     if disk_diameter / grid.spacing < 8.0:
@@ -428,7 +428,7 @@ def airy_encircled_fraction(disk_diameter: float, aperture_diameter: float,
     1 - J0(x)^2 - J1(x)^2 with x = pi * D * rho / (lambda * R), rho the disk
     radius. Valid for an aperture focused exactly at range R.
     """
-    if disk_diameter < 0.0:
+    if not disk_diameter >= 0.0:
         raise InvalidArgumentError("disk_diameter must be non-negative")
     x = math.pi * aperture_diameter * (0.5 * disk_diameter) / (rf.wavelength * range_m)
     if x == 0.0:
@@ -508,7 +508,7 @@ def grating_lobe_margin(spacing: float, rf: RfSpec,
     is the smallest |candidate sine| minus 1; a lobe is visible (lobe_free
     False) when some candidate lands inside [-1, 1].
     """
-    if spacing <= 0.0:
+    if not spacing > 0.0:
         raise InvalidArgumentError("spacing must be positive")
     if not 0.0 <= max_scan_from_zenith_deg < 90.0 + 1e-12:
         raise InvalidArgumentError("scan angle must be in [0, 90] degrees")

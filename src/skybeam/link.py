@@ -46,7 +46,7 @@ class EfficiencyChain:
 
 def delivered_power(input_power: float, chain: EfficiencyChain) -> float:
     """DC watts at the aircraft bus for a given grid input power."""
-    if input_power < 0.0:
+    if not input_power >= 0.0:
         raise InvalidArgumentError("input_power must be non-negative")
     return input_power * chain.end_to_end
 
@@ -144,9 +144,9 @@ def best_panel(panels, beam_direction, attitude) -> tuple[ReceiverPanel, float]:
 
 def farm_surface_density(input_power: float, farm_area: float) -> float:
     """Mean emitted power density over the farm surface [W/m^2]."""
-    if farm_area <= 0.0:
+    if not farm_area > 0.0:
         raise InvalidArgumentError("farm_area must be positive")
-    if input_power < 0.0:
+    if not input_power >= 0.0:
         raise InvalidArgumentError("input_power must be non-negative")
     return input_power / farm_area
 
@@ -160,9 +160,9 @@ def reflected_ground_density(reflected_power: float, spot_diameter: float,
     reflected power over that patch. A deliberate safety screen, not a radar
     cross-section computation.
     """
-    if reflected_power < 0.0:
+    if not reflected_power >= 0.0:
         raise InvalidArgumentError("reflected_power must be non-negative")
-    if spot_diameter <= 0.0 or range_m < 0.0:
+    if not spot_diameter > 0.0 or not range_m >= 0.0:
         raise InvalidArgumentError("spot_diameter must be positive, range non-negative")
     if reflected_power == 0.0:
         return 0.0

@@ -39,35 +39,35 @@ class Aircraft:
 class FarmNetwork:
     """Ground farm sites with shared service limits."""
 
-    sites: np.ndarray             # (m, 2) ground positions [m]
-    input_caps: np.ndarray        # (m,) max grid draw per farm [W]
+    farms: np.ndarray             # (m, 2) ground positions [m]
+    input_cap: np.ndarray         # (m,) max grid draw per farm [W]
     max_scan_deg: float           # beam steering limit from zenith
     max_slant_range: float        # m
 
     def __post_init__(self):
-        sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
-        if sites.size == 0:
-            sites = sites.reshape(0, 2)
-        if sites.ndim != 2 or sites.shape[1] != 2:
-            raise InvalidArgumentError("sites must be an (m, 2) array")
-        caps = np.asarray(self.input_caps, dtype=float)
+        farms = np.atleast_2d(np.asarray(self.farms, dtype=float))
+        if farms.size == 0:
+            farms = farms.reshape(0, 2)
+        if farms.ndim != 2 or farms.shape[1] != 2:
+            raise InvalidArgumentError("farms must be an (m, 2) array")
+        caps = np.asarray(self.input_cap, dtype=float)
         if caps.ndim == 0:
-            caps = np.full(sites.shape[0], float(caps))
-        if caps.shape != (sites.shape[0],):
-            raise InvalidArgumentError("input_caps must match the number of sites")
+            caps = np.full(farms.shape[0], float(caps))
+        if caps.shape != (farms.shape[0],):
+            raise InvalidArgumentError("input_cap must match the number of farms")
         if not np.all(caps >= 0.0):
             raise InvalidArgumentError("input caps must be non-negative")
         if not 0.0 < self.max_scan_deg < 90.0:
             raise InvalidArgumentError("max_scan_deg must be in (0, 90)")
         if not self.max_slant_range > 0.0:
             raise InvalidArgumentError("max_slant_range must be positive")
-        for name, arr in (("sites", sites), ("input_caps", caps)):
+        for name, arr in (("farms", farms), ("input_cap", caps)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def n_farms(self) -> int:
-        return self.sites.shape[0]
+        return self.farms.shape[0]
 
     @classmethod
     def empty(cls) -> "FarmNetwork":
@@ -124,7 +124,7 @@ def farm_visibility(farm_site, position, network: FarmNetwork) -> Visibility:
     """Slant range and zenith scan angle from a farm to an aircraft position."""
     fx, fy = float(farm_site[0]), float(farm_site[1])
     px, py, pz = (float(v) for v in position)
-    if pz <= 0.0:
+    if not pz > 0.0:
         raise InvalidArgumentError("aircraft altitude must be positive")
     slant = math.sqrt((px - fx) ** 2 + (py - fy) ** 2 + pz * pz)
     scan = math.degrees(math.acos(min(1.0, pz / slant)))
@@ -302,9 +302,9 @@ def _candidates(positions, seg_idx, world_normals, network: FarmNetwork) -> np.n
     One array pass over slant, scan and the best panel cosine, each widened by
     _BAND at its bound, so it holds every pair _serve accepts.
     """
-    sites = network.sites
-    dx = positions[:, 0, None] - sites[None, :, 0]
-    dy = positions[:, 1, None] - sites[None, :, 1]
+    farms = network.farms
+    dx = positions[:, 0, None] - farms[None, :, 0]
+    dy = positions[:, 1, None] - farms[None, :, 1]
     pz = positions[:, 2, None]
     slant = np.sqrt(dx * dx + dy * dy + pz * pz)
     scan = np.degrees(np.arccos(np.minimum(1.0, pz / slant)))
@@ -369,15 +369,15 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
 
     # the walk order: largest cap first, lowest index on ties; a zero cap
     # serves nothing, and nor does any farm after it in this order
-    order = np.argsort(-network.input_caps, kind="stable")
-    order = order[network.input_caps[order] > 0.0]
+    order = np.argsort(-network.input_cap, kind="stable")
+    order = order[network.input_cap[order] > 0.0]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         usable = _candidates(positions[block], seg_idx[block], world_normals, network)[:, order]
         for i in np.flatnonzero(usable.any(axis=1)):
             k = start + i
             for j in order[usable[i]]:
-                served = _serve(network.sites[j], positions[k], network, aircraft.panels,
+                served = _serve(network.farms[j], positions[k], network, aircraft.panels,
                                 attitudes[seg_idx[k]])
                 if served is not None:
                     break
@@ -386,7 +386,7 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
             v, panel, cos_inc = served
             eff = chain.at_incidence(cos_inc)
             if p_ref > 0.0 and eff > 0.0:
-                delivered[k] = min(network.input_caps[j], p_ref / eff) * eff
+                delivered[k] = min(network.input_cap[j], p_ref / eff) * eff
                 farm_index[k] = j
                 slant[k], scan[k], panel_lbl[k], cosine[k] = (
                     v.slant_range, v.scan_deg, panel.label, cos_inc)

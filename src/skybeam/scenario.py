@@ -18,7 +18,8 @@ Scalar kinds are `_bound`s; structured fields have kinds of their own.
 Sections are read in `_SECTIONS` order, unknown keys first and then the rows
 in table order, which is thus the order in which faults are found. A section
 with a domain type is then built from its fields (`_BUILD`), where the checks
-that span a section run.
+that span a section run; any other section becomes a read-only `Section`.
+Either way a field is read back at its file path: `scn.<section>.<key>`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -232,7 +234,7 @@ def _farms(value, path: str, values) -> np.ndarray:
     return np.asarray(sites, dtype=float).reshape(len(sites), 2)
 
 
-def _input_caps(value, path: str, values) -> np.ndarray:
+def _input_cap(value, path: str, values) -> np.ndarray:
     n_farms = values["network"]["farms"].shape[0]
     if isinstance(value, (list, tuple)):
         if len(value) != n_farms:
@@ -303,7 +305,7 @@ _FIELDS = (
     ("aircraft", "fuel_burn_reference", 2400.0, POSITIVE),
     ("aircraft", "panels", None, _panels),      # null: the stock 3-panel fit
     ("network", "farms", _FARM_ROW, _farms),
-    ("network", "input_cap", 100e6, _input_caps),
+    ("network", "input_cap", 100e6, _input_cap),
     ("network", "max_scan_deg", 60.0, SCAN_ANGLE),
     ("network", "max_slant_range", 20_000.0, POSITIVE),
     ("plan", "waypoints", [[0.0, 0.0, 10_000.0], [500_000.0, 0.0, 10_000.0]],
@@ -355,54 +357,56 @@ def _build_cost(**fields) -> CostModel:
     return CostModel(**fields)
 
 
-# Domain type of each section that has one, built from the section's fields.
+class Section(SimpleNamespace):
+    """Read-only record of the fields of a section without a domain type,
+    each under its file key."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"scenario field {name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+# Domain type of each section that has one, built from the section's fields;
+# every other section is a Section.
 _BUILD = {"rf": _build_rf, "chain": EfficiencyChain, "aircraft": Aircraft,
-          "network": lambda farms, input_cap, max_scan_deg, max_slant_range: FarmNetwork(
-              farms, input_cap, max_scan_deg, max_slant_range),
-          "plan": _build_plan, "cost": _build_cost}
+          "network": FarmNetwork, "plan": _build_plan, "cost": _build_cost}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: domain objects plus array/beam/output parameters.
+    """Validated scenario: one object per section, so that every field is
+    read at its file path (`scn.array.spacing`, `scn.econ.coverage_fraction`).
 
     The element layout is built on demand (build_layout) because full-scale
     farm apertures hold hundreds of millions of elements.
     """
 
     rf: RfSpec
-    aperture_diameter: float
-    element_spacing: float
-    fill_fraction: float
-    seed: int
-    beam_target: np.ndarray
-    beam_input_power: float
+    array: Section
+    beam: Section
     chain: EfficiencyChain
     aircraft: Aircraft
     network: FarmNetwork
     plan: FlightPlan
     cost: CostModel
-    farm_area: float
-    surface_density_limit: float
-    reflected_density_limit: float | None
-    territory_area_km2: float
-    econ_coverage_fractions: tuple
-    econ_farm_area_km2: float
-    grid_n: int
-    map_window: float | None
+    safety: Section
+    econ: Section
+    output: Section
 
     def estimated_element_count(self) -> float:
         """Disk-grid element count without building the layout."""
-        r_idx = self.aperture_diameter / (2.0 * self.element_spacing)
+        r_idx = self.array.aperture_diameter / (2.0 * self.array.spacing)
         return float(np.pi) * r_idx * r_idx
 
     def build_layout(self) -> ArrayLayout:
-        return make_planar_array(self.aperture_diameter, self.element_spacing,
-                                 self.fill_fraction, self.seed)
+        array = self.array
+        return make_planar_array(array.aperture_diameter, array.spacing,
+                                 array.fill_fraction, array.seed)
 
     def radiated_power(self) -> float:
         """Beam power leaving the farm: grid input times the DC-to-RF stage."""
-        return self.beam_input_power * self.chain.dc_to_rf
+        return self.beam.input_power * self.chain.dc_to_rf
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -416,24 +420,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         fields = values[name] = {}
         for key, default, kind in _ROWS[name]:
             fields[key] = kind(section.get(key, default), f"{name}.{key}", values)
-        if name in _BUILD:
-            values[name] = _BUILD[name](**fields)
-
-    array, beam, safety, econ = (values[name] for name in ("array", "beam", "safety", "econ"))
-    return Scenario(
-        rf=values["rf"], aperture_diameter=array["aperture_diameter"],
-        element_spacing=array["spacing"], fill_fraction=array["fill_fraction"],
-        seed=array["seed"], beam_target=beam["target"],
-        beam_input_power=beam["input_power"], chain=values["chain"],
-        aircraft=values["aircraft"], network=values["network"], plan=values["plan"],
-        cost=values["cost"], farm_area=safety["farm_area"],
-        surface_density_limit=safety["surface_density_limit"],
-        reflected_density_limit=safety["reflected_density_limit"],
-        territory_area_km2=econ["territory_area_km2"],
-        econ_coverage_fractions=econ["coverage_fraction"],
-        econ_farm_area_km2=econ["farm_area_km2"],
-        grid_n=values["output"]["grid_n"], map_window=values["output"]["map_window"],
-    )
+        values[name] = _BUILD.get(name, Section)(**fields)
+    return Scenario(**values)
 
 
 def resolve_scenario_path(name_or_path: str) -> Path:

@@ -59,7 +59,7 @@ def evaluate_field_oracle(layout: sb.ArrayLayout, rf: sb.RfSpec,
     arrays.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    pos = layout.active_positions
+    pos = layout.positions
     p_elem = command.total_radiated_power / pos.shape[0]
     out = np.zeros(pts.shape[0], dtype=complex)
     for i in range(pts.shape[0]):
@@ -78,7 +78,7 @@ def ring_density(layout: sb.ArrayLayout, rf: sb.RfSpec, command: sb.BeamCommand,
     One (m x elements) direct sum with the arithmetic of
     evaluate_field_oracle, which takes one point at a time.
     """
-    pos = layout.active_positions
+    pos = layout.positions
     d = pts[:, None, :] - pos[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=2))
     gain = d[:, :, 2] / r
@@ -135,7 +135,7 @@ def random_disk_layout(n: int, diameter: float, seed: int,
     theta = rng.random(n) * 2.0 * np.pi
     pos = np.column_stack([radius * np.cos(theta), radius * np.sin(theta),
                            np.zeros(n)])
-    return sb.ArrayLayout(pos, spacing, diameter, np.ones(n, dtype=bool))
+    return sb.ArrayLayout(pos, spacing, diameter)
 
 
 def square_grid_layout(n_side: int, spacing: float) -> sb.ArrayLayout:
@@ -144,4 +144,4 @@ def square_grid_layout(n_side: int, spacing: float) -> sb.ArrayLayout:
     xx, yy = np.meshgrid(idx * spacing, idx * spacing, indexing="ij")
     pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
     diameter = 2.0 * float(np.hypot(pos[:, 0], pos[:, 1]).max())
-    return sb.ArrayLayout(pos, spacing, diameter, np.ones(pos.shape[0], bool))
+    return sb.ArrayLayout(pos, spacing, diameter)

@@ -25,15 +25,9 @@ def test_disk_grid_matches_enumeration(diameter, spacing):
     assert layout.n_active == brute_force_disk_count(diameter, spacing)
 
 
-def test_full_grid_fill_fraction_is_one():
-    layout = sb.make_planar_array(0.9, 0.07)
-    assert layout.fill_fraction == 1.0
-    assert layout.n_active == layout.n_elements
-
-
 def test_grid_positions_within_aperture_disk():
     layout = sb.make_planar_array(1.3, 0.09, fill_fraction=0.8, seed=3)
-    active = layout.active_positions
+    active = layout.positions
     radial = np.hypot(active[:, 0], active[:, 1])
     assert radial.max() <= 0.5 * layout.aperture_diameter * (1 + 1e-12)
     assert np.all(active[:, 2] == 0.0)
@@ -41,7 +35,7 @@ def test_grid_positions_within_aperture_disk():
 
 def test_nearest_neighbor_distance_equals_spacing():
     layout = sb.make_planar_array(0.3, 0.05)
-    pos = layout.active_positions
+    pos = layout.positions
     dists = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=-1)
     np.fill_diagonal(dists, np.inf)
     assert abs(dists.min() - 0.05) < 1e-9
@@ -51,12 +45,13 @@ def test_thinning_deterministic_and_seed_sensitive():
     a = sb.make_planar_array(2.0, 0.05, fill_fraction=0.5, seed=9)
     b = sb.make_planar_array(2.0, 0.05, fill_fraction=0.5, seed=9)
     c = sb.make_planar_array(2.0, 0.05, fill_fraction=0.5, seed=10)
-    assert np.array_equal(a.fill_mask, b.fill_mask)
-    assert not np.array_equal(a.fill_mask, c.fill_mask)
+    assert np.array_equal(a.positions, b.positions)
+    assert not np.array_equal(a.positions, c.positions)
 
 
 def test_thinning_hits_requested_fill_on_average():
-    fills = [sb.make_planar_array(2.0, 0.05, 0.7, seed=s).fill_fraction
+    full = sb.make_planar_array(2.0, 0.05).n_active
+    fills = [sb.make_planar_array(2.0, 0.05, 0.7, seed=s).n_active / full
              for s in range(12)]
     assert np.mean(fills) == pytest.approx(0.7, abs=0.03)
 
@@ -90,8 +85,6 @@ def test_layout_immutable():
     layout = sb.make_planar_array(0.3, 0.05)
     with pytest.raises(ValueError):
         layout.positions[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        layout.fill_mask[0] = False
 
 
 def test_beam_command_validation():
@@ -104,9 +97,15 @@ def test_beam_command_validation():
         sb.BeamCommand(np.array([0.0, 0.0]), 1.0, phases)
 
 
-def test_layout_thinned_subset():
-    layout = sb.make_planar_array(1.0, 0.05)
-    thin = layout.thinned(0.6, seed=5)
-    assert thin.n_elements == layout.n_elements
-    assert thin.n_active < layout.n_active
-    assert np.all(layout.fill_mask[thin.fill_mask])
+@pytest.mark.parametrize("diameter,spacing,fill,seed", [
+    (1.0, 0.05, 0.6, 5), (2.5, 0.11, 0.3, 0), (0.3, 0.05, 1e-9, 7),
+])
+def test_thinning_keeps_the_row_major_draw(diameter, spacing, fill, seed):
+    # element k of the full grid stays active iff draw k of the seed is below fill
+    full = sb.make_planar_array(diameter, spacing)
+    keep = np.random.default_rng(seed).random(full.n_active) < fill
+    thin = sb.make_planar_array(diameter, spacing, fill, seed)
+    assert np.array_equal(thin.positions, full.positions[keep])
+    assert thin.n_active == keep.sum()
+    radial = np.hypot(thin.positions[:, 0], thin.positions[:, 1])
+    assert thin.aperture_diameter == max(2.0 * radial.max(initial=0.0), spacing)

@@ -18,11 +18,11 @@ TWO_PI = 2.0 * math.pi
 
 def _two_element_layout(spacing=0.5):
     pos = np.array([[-spacing / 2, 0.0, 0.0], [spacing / 2, 0.0, 0.0]])
-    return sb.ArrayLayout(pos, spacing, spacing, np.ones(2, bool))
+    return sb.ArrayLayout(pos, spacing, spacing)
 
 
 def _single_element_layout():
-    return sb.ArrayLayout(np.zeros((1, 3)), 1.0, 1.0, np.ones(1, bool))
+    return sb.ArrayLayout(np.zeros((1, 3)), 1.0, 1.0)
 
 
 def _fast_density_at(layout, rf, cmd, point):
@@ -59,7 +59,7 @@ def test_solved_phases_beat_1000_random_assignments(rf10cm):
     rng = np.random.default_rng(7)
     pos = np.column_stack([rng.uniform(-2, 2, 16), rng.uniform(-2, 2, 16),
                            np.zeros(16)])
-    layout = sb.ArrayLayout(pos, 0.5, 8.0, np.ones(16, bool))
+    layout = sb.ArrayLayout(pos, 0.5, 8.0)
     target = np.array([40.0, -25.0, 900.0])
     cmd = sb.focus_command(layout, rf10cm, target, 1.0)
     _, focused = evaluate_field_oracle(layout, rf10cm, cmd, target[None, :])
@@ -170,14 +170,13 @@ def test_field_blocks_hold_a_bounded_number_of_element_points(rf10cm, monkeypatc
     assert rows * layout.n_active <= field._BLOCK_ELEMENT_POINTS or rows == 1
     assert blocks[:-1] == [rows] * (len(blocks) - 1) and sum(blocks) == n * n
     # the block height changes nothing: 256-point blocks give the same bits
-    monkeypatch.setattr(field, "_block_points", lambda n_elements: 256)
+    monkeypatch.setattr(field, "_block_points", lambda n_active: 256)
     wide = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)
     assert np.array_equal(fmap.complex_field, wide.complex_field)
 
 
-def test_empty_fill_mask_gives_zero_field(rf10cm):
-    pos = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
-    layout = sb.ArrayLayout(pos, 0.05, 0.1, np.zeros(2, bool))
+def test_empty_layout_gives_zero_field(rf10cm):
+    layout = sb.ArrayLayout(np.zeros((0, 3)), 0.05, 0.1)
     cmd = sb.BeamCommand(np.array([0.0, 0.0, 100.0]), 1.0, np.zeros(0))
     grid = sb.ObservationGrid.horizontal([0.0, 0.0, 100.0], 11, 5.0)
     fmap = sb.evaluate_field_fast(layout, rf10cm, cmd, grid)

@@ -317,11 +317,11 @@ def reference_mission(plan, aircraft, network, chain):
         attitude = sb.level_attitude(headings[k])
         vis_farms, effs, info = [], [], {}
         for j in range(network.n_farms):
-            v = sb.farm_visibility(network.sites[j], positions[k], network)
+            v = sb.farm_visibility(network.farms[j], positions[k], network)
             if not v.visible:
                 continue
-            beam = np.array([positions[k][0] - network.sites[j][0],
-                             positions[k][1] - network.sites[j][1],
+            beam = np.array([positions[k][0] - network.farms[j][0],
+                             positions[k][1] - network.farms[j][1],
                              positions[k][2]]) / v.slant_range
             try:
                 panel, cos_inc = sb.best_panel(aircraft.panels, beam, attitude)
@@ -331,7 +331,7 @@ def reference_mission(plan, aircraft, network, chain):
             effs.append(chain.at_incidence(cos_inc))
             info[j] = (v.slant_range, v.scan_deg, panel.label, cos_inc)
 
-        res = sb.assign_farms([required[k]], [vis_farms], [effs], network.input_caps)
+        res = sb.assign_farms([required[k]], [vis_farms], [effs], network.input_cap)
         delivered[k] = res.delivered_w[0]
         if res.farm_index[0] >= 0:
             j = int(res.farm_index[0])
@@ -578,10 +578,33 @@ NAN = math.nan
     lambda: sb.CostModel(24.0, rf_uplift=NAN),
     lambda: sb.ReceiverPanel("underside", np.array([0.0, 0.0, -1.0]), NAN, 0.85),
     lambda: sb.RfSpec.from_frequency(NAN),
+    lambda: sb.ArrayLayout(np.zeros((1, 3)), NAN, 1.0),
+    lambda: sb.make_planar_array(NAN, 0.05),
+    lambda: sb.make_planar_array(1.0, NAN),
+    lambda: sb.BeamCommand(np.array([0.0, 0.0, 100.0]), NAN, np.zeros(1)),
+    lambda: sb.ObservationGrid(np.zeros(3), 3, 3, NAN),
+    lambda: sb.grating_lobe_margin(NAN, sb.RfSpec.from_wavelength(0.1), 30.0),
+    lambda: sb.first_null_spot_diameter(NAN, sb.RfSpec.from_wavelength(0.1), 1e4),
+    lambda: sb.farm_surface_density(1e6, NAN),
+    lambda: sb.reflected_ground_density(1e6, NAN, sb.RfSpec.from_wavelength(0.1), 1e4),
+    lambda: sb.delivered_power(NAN, sb.EfficiencyChain(0.5, 0.5, 1.0, 0.85)),
+    lambda: sb.fuel_price_per_kg(1992.0, NAN),
+    lambda: sb.breakeven_efficiency(1e6, 50.0, NAN),
+    lambda: sb.beamed_cost_per_hour(NAN, 0.2, 50.0),
+    lambda: sb.farm_network_estimate(NAN, 0.001, 1.0),
+    lambda: sb.encircled_energy(None, np.zeros(3), NAN, 1.0),
+    lambda: sb.airy_encircled_fraction(NAN, 1.0, sb.RfSpec.from_wavelength(0.1), 1e4),
+    lambda: sb.farm_visibility([0.0, 0.0], [0.0, 0.0, NAN], _network([[0.0, 0.0]])),
 ], ids=["aircraft.mass", "aircraft.lift_to_drag", "aircraft.propulsive_efficiency",
         "aircraft.cruise_speed", "aircraft.fuel_burn_reference", "plan.speed",
-        "plan.timestep", "plan.altitude", "network.max_slant_range", "network.input_caps",
-        "cost.solar_lcoe", "cost.panel_cost", "cost.rf_uplift", "panel.area", "rf.frequency"])
+        "plan.timestep", "plan.altitude", "network.max_slant_range", "network.input_cap",
+        "cost.solar_lcoe", "cost.panel_cost", "cost.rf_uplift", "panel.area", "rf.frequency",
+        "layout.spacing", "make_planar_array.aperture", "make_planar_array.spacing",
+        "command.power", "grid.spacing", "grating_lobe_margin", "first_null_spot_diameter",
+        "farm_surface_density", "reflected_ground_density", "delivered_power",
+        "fuel_price_per_kg", "breakeven_efficiency", "beamed_cost_per_hour",
+        "farm_network_estimate", "encircled_energy", "airy_encircled_fraction",
+        "farm_visibility"])
 def test_domain_types_reject_nan(build):
     # the API checks stand on their own beside the scenario parser's
     with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,6 @@
 """Scenario parsing, defaults, validation messages, bundled files."""
 
+import dataclasses
 import json
 import math
 
@@ -10,8 +11,8 @@ import skybeam as sb
 from skybeam import mission
 from skybeam.errors import (ScenarioFileError, ScenarioParseError,
                             ScenarioValidationError)
-from skybeam.scenario import (MAX_MAGNITUDE, MAX_MISSION_STEPS, MIN_MAGNITUDE,
-                              resolve_scenario_path)
+from skybeam.scenario import (_FIELDS, _SECTIONS, MAX_MAGNITUDE, MAX_MISSION_STEPS,
+                              MIN_MAGNITUDE, resolve_scenario_path)
 
 
 def write(tmp_path, data):
@@ -23,8 +24,8 @@ def write(tmp_path, data):
 def test_minimal_scenario_gets_defaults(tmp_path):
     scn = sb.parse_scenario(write(tmp_path, {"rf": {"frequency": 1e9}}))
     assert scn.rf.frequency == 1e9
-    assert scn.aperture_diameter == 1000.0
-    assert scn.element_spacing == pytest.approx(0.5 * scn.rf.wavelength, rel=1e-12)
+    assert scn.array.aperture_diameter == 1000.0
+    assert scn.array.spacing == pytest.approx(0.5 * scn.rf.wavelength, rel=1e-12)
     assert scn.aircraft.mass == 50_000.0
     assert scn.chain.end_to_end == pytest.approx(0.2, rel=1e-12)
     assert scn.cost.solar_lcoe == 24.0
@@ -35,8 +36,8 @@ def test_minimal_scenario_gets_defaults(tmp_path):
 def test_empty_scenario_is_fully_defaulted(tmp_path):
     scn = sb.parse_scenario(write(tmp_path, {}))
     assert scn.rf.wavelength == 0.1
-    assert scn.beam_input_power == 100e6
-    assert scn.surface_density_limit == 100.0
+    assert scn.beam.input_power == 100e6
+    assert scn.safety.surface_density_limit == 100.0
 
 
 def test_negative_mass_names_field(tmp_path):
@@ -80,20 +81,20 @@ def test_malformed_json_raises_parse_error(tmp_path):
 def test_bundled_baseline_loads():
     scn = sb.parse_scenario("a320_baseline")
     assert scn.rf.wavelength == 0.1
-    assert scn.aperture_diameter == 1000.0
-    assert scn.beam_input_power == 100e6
+    assert scn.array.aperture_diameter == 1000.0
+    assert scn.beam.input_power == 100e6
     assert scn.chain.rf_to_dc == 0.85
     assert scn.aircraft.fuel_burn_reference == 2400.0
-    assert scn.farm_area == 1e6
+    assert scn.safety.farm_area == 1e6
 
 
 def test_bundled_spot_scaled_loads():
     scn = sb.parse_scenario("spot_scaled")
-    assert scn.aperture_diameter == 50.0
-    assert scn.element_spacing == 1.0
+    assert scn.array.aperture_diameter == 50.0
+    assert scn.array.spacing == 1.0
     assert scn.estimated_element_count() < 3000
-    layout = scn.build_layout()
-    assert 0.9 < layout.fill_fraction < 1.0
+    full = sb.make_planar_array(scn.array.aperture_diameter, scn.array.spacing)
+    assert 0.9 < scn.build_layout().n_active / full.n_active < 1.0
 
 
 def test_resolve_scenario_path_prefers_filesystem(tmp_path):
@@ -137,7 +138,7 @@ def test_scan_angle_bounds(tmp_path):
 def test_radiated_power_uses_dc_to_rf(tmp_path):
     scn = sb.parse_scenario(write(tmp_path, {}))
     assert scn.radiated_power() == pytest.approx(
-        scn.beam_input_power * scn.chain.dc_to_rf, rel=1e-12)
+        scn.beam.input_power * scn.chain.dc_to_rf, rel=1e-12)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -308,7 +309,21 @@ def test_field_bounds(path, outside, message, inside, extra):
         sb.scenario_from_dict(with_field(path, outside, extra))
     assert err.value.field_path == path
     assert str(err.value) == f"{path}: {message}"
-    sb.scenario_from_dict(with_field(path, inside, extra))
+    scn = sb.scenario_from_dict(with_field(path, inside, extra))
+    # the value is read back at its file path
+    section, key = path.split(".")
+    assert np.all(getattr(getattr(scn, section), key) == inside)
+
+
+def test_every_field_is_read_at_its_file_path():
+    scn = sb.scenario_from_dict({})
+    assert [f.name for f in dataclasses.fields(scn)] == list(_SECTIONS)
+    for section, key, _, _ in _FIELDS:
+        assert hasattr(getattr(scn, section), key), f"{section}.{key}"
+    with pytest.raises(AttributeError):
+        scn.array.spacing = 1.0
+    with pytest.raises(AttributeError):
+        del scn.econ.coverage_fraction
 
 
 FLOATS = sorted({case[0] for case in BOUNDS} - {"beam.target", "array.seed", "output.grid_n"})
@@ -370,8 +385,8 @@ def test_list_entries_on_the_window_edges_parse():
                                 panel(normal=[FLOOR, 0, 0])]},
         "econ": {"coverage_fraction": [FLOOR, 0.0, 1.0]},
     })
-    assert scn.element_spacing == 0.5 * FLOOR     # derived, so under the floor
-    assert scn.econ_coverage_fractions == (FLOOR, 0.0, 1.0)
+    assert scn.array.spacing == 0.5 * FLOOR     # derived, so under the floor
+    assert scn.econ.coverage_fraction == (FLOOR, 0.0, 1.0)
 
 
 NULLABLE = {"rf.frequency", "rf.wavelength", "array.spacing", "aircraft.panels",

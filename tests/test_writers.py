@@ -63,8 +63,8 @@ def test_trace_csv_matches_oracle_on_bundled_scenarios(tmp_path, name):
 def test_map_csv_matches_oracle_on_bundled_scenario(tmp_path):
     scn = parse_scenario("spot_scaled")
     layout = scn.build_layout()
-    cmd = sb.focus_command(layout, scn.rf, scn.beam_target, scn.radiated_power())
-    grid = sb.ObservationGrid.horizontal(scn.beam_target, 41, scn.map_window)
+    cmd = sb.focus_command(layout, scn.rf, scn.beam.target, scn.radiated_power())
+    grid = sb.ObservationGrid.horizontal(scn.beam.target, 41, scn.output.map_window)
     fmap = sb.evaluate_field_fast(layout, scn.rf, cmd, grid)
     assert_same_bytes(sb.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
 

@@ -17,7 +17,7 @@ from .field import (FieldMap, GratingLobeReport, ObservationGrid, SpotReport,
                     measure_first_null_radius, solve_focus_phases, spot_report)
 from .link import (EfficiencyChain, ReceiverPanel, best_panel, default_panels,
                    delivered_power, farm_surface_density, level_attitude,
-                   reflected_ground_density)
+                   reflected_ground_density, world_panels)
 from .mission import (Aircraft, FarmAssignment, FarmNetwork, FlightPlan,
                       MissionTrace, Visibility, assign_farms, coverage_fraction,
                       cruise_power, farm_visibility, mission_summary,

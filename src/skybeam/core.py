@@ -76,10 +76,15 @@ class ArrayLayout:
             raise InvalidArgumentError("positions must be an (n, 3) array")
         if not self.element_spacing > 0.0:
             raise InvalidArgumentError("element_spacing must be positive")
+        if not 0.0 <= self.aperture_diameter < math.inf:
+            raise InvalidArgumentError("aperture_diameter must be finite and non-negative")
         if pos.shape[0]:
+            # the max is NaN when any x or y is, and NaN fails the bound
             radial = np.hypot(pos[:, 0], pos[:, 1])
-            if radial.max() > 0.5 * self.aperture_diameter * (1.0 + 1e-9) + 1e-12:
+            if not radial.max() <= 0.5 * self.aperture_diameter * (1.0 + 1e-9) + 1e-12:
                 raise InvalidArgumentError("active element outside the stated aperture disk")
+            if not np.isfinite(pos[:, 2]).all():
+                raise InvalidArgumentError("element heights must be finite")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -134,13 +139,13 @@ class BeamCommand:
 
     def __post_init__(self):
         target = _frozen(self.target)
-        if target.shape != (3,):
-            raise InvalidArgumentError("target must be a 3-D point")
+        if target.shape != (3,) or not np.isfinite(target).all():
+            raise InvalidArgumentError("target must be a finite 3-D point")
         if not self.total_radiated_power > 0.0:
             raise InvalidArgumentError("total_radiated_power must be positive")
         phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1:
-            raise InvalidArgumentError("phases must be a 1-D array")
+        if phases.ndim != 1 or not np.isfinite(phases).all():
+            raise InvalidArgumentError("phases must be a finite 1-D array")
         phases = _frozen(np.mod(phases, TWO_PI))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "phases", phases)

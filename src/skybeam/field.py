@@ -110,8 +110,8 @@ class ObservationGrid:
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float)
-        if center.shape != (3,):
-            raise InvalidArgumentError("center must be a 3-D vector")
+        if center.shape != (3,) or not np.isfinite(center).all():
+            raise InvalidArgumentError("center must be a finite 3-D vector")
         if self.n_u < 2 or self.n_v < 2:
             raise InvalidArgumentError("grid needs at least 2 samples per axis")
         if not self.spacing > 0.0:

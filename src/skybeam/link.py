@@ -70,7 +70,7 @@ class ReceiverPanel:
 
     def __post_init__(self):
         n = np.array(self.normal, dtype=float)
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
             raise InvalidArgumentError("panel normal must be a 3-D unit vector")
         if not self.area > 0.0:
             raise InvalidArgumentError("panel area must be positive")
@@ -96,7 +96,7 @@ def level_attitude(heading) -> np.ndarray:
     h = np.asarray(heading, dtype=float)
     fwd = np.array([h[0], h[1], 0.0])
     norm = np.linalg.norm(fwd)
-    if norm < 1e-12:
+    if not norm >= 1e-12:
         raise InvalidArgumentError("heading must have a horizontal component")
     fwd /= norm
     up = np.array([0.0, 0.0, 1.0])
@@ -104,38 +104,36 @@ def level_attitude(heading) -> np.ndarray:
     return np.column_stack([fwd, left, up])
 
 
-def best_panel(panels, beam_direction, attitude) -> tuple[ReceiverPanel, float]:
-    """Panel with the largest incidence cosine for an incoming beam.
-
-    beam_direction: unit propagation vector (farm toward aircraft), world
-    frame. attitude: (3, 3) body-to-world rotation. The cosine is
-    -world_normal . beam_direction; ties break by PANEL_LABELS order, then by
-    list position. Raises NoVisiblePanelError when every cosine is <= 0.
-    """
+def world_panels(panels, attitude) -> list[tuple[ReceiverPanel, np.ndarray]]:
+    """Each panel with its inward world normal -(attitude @ normal), for a (3, 3)
+    body-to-world attitude, in tie-break order: PANEL_LABELS order first, then
+    other labels, list position breaking ties."""
     if not panels:
         raise InvalidArgumentError("need at least one panel")
-    b = np.asarray(beam_direction, dtype=float)
-    if abs(np.linalg.norm(b) - 1.0) > 1e-9:
-        raise InvalidArgumentError("beam_direction must be a unit vector")
     rot = np.asarray(attitude, dtype=float)
     if rot.shape != (3, 3):
         raise InvalidArgumentError("attitude must be a 3x3 rotation matrix")
+    rank = {label: i for i, label in enumerate(PANEL_LABELS)}
+    ordered = sorted(panels, key=lambda p: rank.get(p.label, len(PANEL_LABELS)))
+    return [(panel, -(rot @ panel.normal)) for panel in ordered]
 
-    def rank(label: str) -> int:
-        return PANEL_LABELS.index(label) if label in PANEL_LABELS else len(PANEL_LABELS)
 
-    best: tuple[float, int, int] | None = None
-    chosen = None
-    for i, panel in enumerate(panels):
-        cosine = float(-(rot @ panel.normal) @ b)
-        key = (-cosine, rank(panel.label), i)
-        if best is None or key < best:
-            best = key
-            chosen = (panel, cosine)
-    assert chosen is not None
-    if chosen[1] <= 0.0:
+def best_panel(facing, beam_direction) -> tuple[ReceiverPanel, float]:
+    """Panel with the largest incidence cosine for an incoming beam: the first in
+    `facing` (world_panels of the aircraft) with the largest inward normal .
+    beam_direction, the unit farm-to-aircraft vector in the world frame. Raises
+    NoVisiblePanelError when every cosine is <= 0."""
+    b = np.asarray(beam_direction, dtype=float)
+    if not abs(np.linalg.norm(b) - 1.0) <= 1e-9:
+        raise InvalidArgumentError("beam_direction must be a unit vector")
+    chosen, best = None, -math.inf
+    for panel, normal in facing:
+        cosine = float(normal @ b)
+        if cosine > best:
+            chosen, best = panel, cosine
+    if not best > 0.0:
         raise NoVisiblePanelError("no panel faces the beam (aircraft shadowed)")
-    return chosen
+    return chosen, best
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import numpy as np
 from .constants import JET_FUEL_SPECIFIC_ENERGY, STANDARD_GRAVITY
 from .core import write_csv
 from .errors import InvalidArgumentError, NoVisiblePanelError
-from .link import EfficiencyChain, ReceiverPanel, best_panel, default_panels, level_attitude
+from .link import (EfficiencyChain, ReceiverPanel, best_panel, default_panels, level_attitude,
+                   world_panels)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class FarmNetwork:
         farms = np.atleast_2d(np.asarray(self.farms, dtype=float))
         if farms.size == 0:
             farms = farms.reshape(0, 2)
-        if farms.ndim != 2 or farms.shape[1] != 2:
-            raise InvalidArgumentError("farms must be an (m, 2) array")
+        if farms.ndim != 2 or farms.shape[1] != 2 or not np.isfinite(farms).all():
+            raise InvalidArgumentError("farms must be an (m, 2) array of finite positions")
         caps = np.asarray(self.input_cap, dtype=float)
         if caps.ndim == 0:
             caps = np.full(farms.shape[0], float(caps))
@@ -68,6 +69,11 @@ class FarmNetwork:
     @property
     def n_farms(self) -> int:
         return self.farms.shape[0]
+
+    @property
+    def limits(self) -> tuple[float, float]:
+        """Inclusive (slant, scan) bounds, padded so exact-boundary geometry survives rounding."""
+        return self.max_slant_range * (1.0 + 1e-12), self.max_scan_deg + 1e-9
 
     @classmethod
     def empty(cls) -> "FarmNetwork":
@@ -128,10 +134,8 @@ def farm_visibility(farm_site, position, network: FarmNetwork) -> Visibility:
         raise InvalidArgumentError("aircraft altitude must be positive")
     slant = math.sqrt((px - fx) ** 2 + (py - fy) ** 2 + pz * pz)
     scan = math.degrees(math.acos(min(1.0, pz / slant)))
-    # inclusive bounds with an epsilon so exact-boundary geometry survives
-    # floating-point rounding
-    visible = (slant <= network.max_slant_range * (1.0 + 1e-12)
-               and scan <= network.max_scan_deg + 1e-9)
+    slant_lim, scan_lim = network.limits
+    visible = slant <= slant_lim and scan <= scan_lim
     return Visibility(visible, slant, scan)
 
 
@@ -283,20 +287,20 @@ _BLOCK = 64
 _BAND = 1e-9
 
 
-def _serve(site, position, network: FarmNetwork, panels, attitude):
+def _serve(site, position, network: FarmNetwork, facing):
     """Visibility, panel and cosine of one farm-aircraft pair; None when it cannot serve."""
     v = farm_visibility(site, position, network)
     if not v.visible:
         return None
     beam = np.array([position[0] - site[0], position[1] - site[1], position[2]]) / v.slant_range
     try:
-        panel, cos_inc = best_panel(panels, beam, attitude)
+        panel, cos_inc = best_panel(facing, beam)
     except NoVisiblePanelError:
         return None
     return v, panel, cos_inc
 
 
-def _candidates(positions, seg_idx, world_normals, network: FarmNetwork) -> np.ndarray:
+def _candidates(positions, seg_idx, facing, network: FarmNetwork) -> np.ndarray:
     """(steps x farms) mask of the pairs _serve may accept.
 
     One array pass over slant, scan and the best panel cosine, each widened by
@@ -308,14 +312,15 @@ def _candidates(positions, seg_idx, world_normals, network: FarmNetwork) -> np.n
     pz = positions[:, 2, None]
     slant = np.sqrt(dx * dx + dy * dy + pz * pz)
     scan = np.degrees(np.arccos(np.minimum(1.0, pz / slant)))
-    slant_lim = network.max_slant_range * (1.0 + 1e-12)
-    scan_lim = network.max_scan_deg + 1e-9
-    # best incidence cosine -(R n) . b over the panels, with b = (dx, dy, pz) / slant
-    facing = np.full(slant.shape, -np.inf)
-    for wx, wy, wz in world_normals[seg_idx].transpose(2, 1, 0)[..., None]:
-        np.maximum(facing, -(dx * wx + dy * wy + pz * wz), out=facing)
+    slant_lim, scan_lim = network.limits
+    # best cosine n . b over the inward normals n of facing[segment], b = (dx, dy, pz) / slant
+    segs, step_seg = np.unique(seg_idx, return_inverse=True)
+    normals = np.array([[n for _, n in facing[s]] for s in segs.tolist()])[step_seg]
+    best = np.full(slant.shape, -np.inf)
+    for nx, ny, nz in normals.transpose(1, 2, 0)[..., None]:
+        np.maximum(best, dx * nx + dy * ny + pz * nz, out=best)
     return ((slant <= slant_lim * (1.0 + _BAND)) & (scan <= scan_lim + _BAND)
-            & (facing / slant > -_BAND))
+            & (best / slant > -_BAND))
 
 
 def _burn(required, delivered, weights, fuel_chain_eff):
@@ -352,12 +357,9 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     burn_ref = aircraft.fuel_burn_reference / 3600.0            # kg/s
     fuel_chain_eff = p_ref / (JET_FUEL_SPECIFIC_ENERGY * burn_ref)
 
-    # the heading, and so the attitude, is constant along a segment
-    attitudes = {int(s): level_attitude(headings[s]) for s in np.unique(seg_idx)}
-    normals = np.column_stack([p.normal for p in aircraft.panels])
-    world_normals = np.zeros((headings.shape[0], 3, normals.shape[1]))
-    for s, rot in attitudes.items():
-        world_normals[s] = rot @ normals
+    # the heading, and so each panel's world normal, is constant along a segment
+    facing = {s: world_panels(aircraft.panels, level_attitude(headings[s]))
+              for s in np.unique(seg_idx).tolist()}
 
     farm_index = np.full(n, -1, dtype=int)
     slant = np.full(n, math.nan)
@@ -373,12 +375,11 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     order = order[network.input_cap[order] > 0.0]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        usable = _candidates(positions[block], seg_idx[block], world_normals, network)[:, order]
+        usable = _candidates(positions[block], seg_idx[block], facing, network)[:, order]
         for i in np.flatnonzero(usable.any(axis=1)):
             k = start + i
             for j in order[usable[i]]:
-                served = _serve(network.farms[j], positions[k], network, aircraft.panels,
-                                attitudes[seg_idx[k]])
+                served = _serve(network.farms[j], positions[k], network, facing[seg_idx[k]])
                 if served is not None:
                     break
             else:

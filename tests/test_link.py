@@ -53,7 +53,7 @@ def test_delivered_power():
 def test_beam_from_below_selects_underside():
     panels = sb.default_panels()
     attitude = sb.level_attitude([1.0, 0.0])
-    panel, cosine = sb.best_panel(panels, [0.0, 0.0, 1.0], attitude)
+    panel, cosine = sb.best_panel(sb.world_panels(panels, attitude), [0.0, 0.0, 1.0])
     assert panel.label == "underside"
     assert cosine == pytest.approx(1.0, rel=1e-12)
 
@@ -63,7 +63,7 @@ def test_sixty_degrees_off_normal_cosine_half():
     attitude = np.eye(3)
     s60 = math.sin(math.radians(60.0))
     beam = np.array([s60, 0.0, 0.5])
-    _, cosine = sb.best_panel(panels, beam, attitude)
+    _, cosine = sb.best_panel(sb.world_panels(panels, attitude), beam)
     assert cosine == pytest.approx(0.5, rel=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_shallow_approach_selects_lower_front():
     attitude = sb.level_attitude([1.0, 0.0])
     elev = math.radians(5.0)
     beam = np.array([-math.cos(elev), 0.0, math.sin(elev)])
-    panel, cosine = sb.best_panel(panels, beam, attitude)
+    panel, cosine = sb.best_panel(sb.world_panels(panels, attitude), beam)
     assert panel.label == "lower-front"
     assert cosine > 0.8
 
@@ -83,7 +83,7 @@ def test_departing_geometry_selects_lower_tail():
     attitude = sb.level_attitude([1.0, 0.0])
     elev = math.radians(10.0)
     beam = np.array([math.cos(elev), 0.0, math.sin(elev)])
-    panel, _ = sb.best_panel(panels, beam, attitude)
+    panel, _ = sb.best_panel(sb.world_panels(panels, attitude), beam)
     assert panel.label == "lower-tail"
 
 
@@ -91,7 +91,7 @@ def test_shadowed_aircraft_raises():
     panels = sb.default_panels()
     attitude = sb.level_attitude([1.0, 0.0])
     with pytest.raises(NoVisiblePanelError):
-        sb.best_panel(panels, [0.0, 0.0, -1.0], attitude)  # beam from above
+        sb.best_panel(sb.world_panels(panels, attitude), [0.0, 0.0, -1.0])  # beam from above
 
 
 def test_panel_choice_invariant_under_joint_rotation():
@@ -103,22 +103,39 @@ def test_panel_choice_invariant_under_joint_rotation():
         beam = np.array([math.cos(elev) * math.cos(azim),
                          math.cos(elev) * math.sin(azim), math.sin(elev)])
         attitude = sb.level_attitude([1.0, 0.5])
-        base_panel, base_cos = sb.best_panel(panels, beam, attitude)
+        base_panel, base_cos = sb.best_panel(sb.world_panels(panels, attitude), beam)
         yaw = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(yaw), math.sin(yaw)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        panel, cosine = sb.best_panel(panels, rot @ beam, rot @ attitude)
+        panel, cosine = sb.best_panel(sb.world_panels(panels, rot @ attitude), rot @ beam)
         assert panel.label == base_panel.label
         assert cosine == pytest.approx(base_cos, rel=1e-9)
 
 
-def test_tie_breaks_by_label_order():
-    n = 1.0 / math.sqrt(2.0)
-    panels = [sb.ReceiverPanel("lower-tail", np.array([-n, 0.0, -n]), 10.0, 0.85),
-              sb.ReceiverPanel("lower-front", np.array([n, 0.0, -n]), 10.0, 0.85)]
-    attitude = np.eye(3)
-    panel, _ = sb.best_panel(panels, [0.0, 0.0, 1.0], attitude)  # symmetric beam
-    assert panel.label == "lower-front"
+_DIAG = 1.0 / math.sqrt(2.0)
+# four normals 45 degrees off the vertical: a beam from straight below meets each
+# at the same cosine, so only the tie-break separates them
+_TIED_NORMALS = [[-_DIAG, 0.0, -_DIAG], [_DIAG, 0.0, -_DIAG],
+                 [0.0, _DIAG, -_DIAG], [0.0, -_DIAG, -_DIAG]]
+
+
+@pytest.mark.parametrize("labels, order", [
+    (["lower-tail", "lower-front"], [1, 0]),
+    (["wing", "lower-tail", "belly", "underside"], [3, 1, 0, 2]),
+    (["underside", "underside"], [0, 1]),
+    (["fin", "lower-front", "fin", "lower-front"], [1, 3, 0, 2]),
+], ids=["known_labels", "unknown_labels_last_in_list_order", "repeated_label",
+        "repeated_known_and_unknown"])
+def test_tie_breaks_by_label_order(labels, order):
+    # PANEL_LABELS order first, then other labels; list position breaks ties
+    panels = [sb.ReceiverPanel(label, np.array(normal), float(i + 1), 0.85)
+              for i, (label, normal) in enumerate(zip(labels, _TIED_NORMALS))]
+    facing = sb.world_panels(panels, np.eye(3))
+    assert [p.area for p, _ in facing] == [float(i + 1) for i in order]
+    assert all((n == -p.normal).all() for p, n in facing)
+    panel, cosine = sb.best_panel(facing, [0.0, 0.0, 1.0])
+    assert panel is panels[order[0]]
+    assert cosine == _DIAG
 
 
 def test_panel_validation():
@@ -127,7 +144,9 @@ def test_panel_validation():
     with pytest.raises(InvalidArgumentError):
         sb.ReceiverPanel("underside", np.array([0.0, 0.0, -1.0]), -1.0, 0.85)
     with pytest.raises(InvalidArgumentError):
-        sb.best_panel([], [0.0, 0.0, 1.0], np.eye(3))
+        sb.world_panels([], np.eye(3))
+    with pytest.raises(InvalidArgumentError):
+        sb.world_panels(sb.default_panels(), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

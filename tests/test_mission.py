@@ -77,6 +77,12 @@ def test_visibility_60_degree_boundary():
     assert not sb.farm_visibility([0.0, 0.0], [offset, 0.0, 10_000.0], tight).visible
 
 
+def test_visibility_limits_are_padded():
+    # inclusive bounds, padded once for farm_visibility and the mission's prefilter
+    net = _network([[0.0, 0.0]], scan=60.0, slant=20_000.0)
+    assert net.limits == (20_000.0 * (1.0 + 1e-12), 60.0 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # assignment
 # ---------------------------------------------------------------------------
@@ -324,7 +330,7 @@ def reference_mission(plan, aircraft, network, chain):
                              positions[k][1] - network.farms[j][1],
                              positions[k][2]]) / v.slant_range
             try:
-                panel, cos_inc = sb.best_panel(aircraft.panels, beam, attitude)
+                panel, cos_inc = sb.best_panel(sb.world_panels(aircraft.panels, attitude), beam)
             except NoVisiblePanelError:
                 continue
             vis_farms.append(j)
@@ -460,9 +466,11 @@ def test_simulate_mission_independent_of_block_size(case, block, tmp_path, monke
     _assert_bit_equal(sb.simulate_mission(plan, aircraft, network, chain), want, tmp_path)
 
 
-def _limit_giving(target, limit_of, guess):
-    """Network limit whose padded value, as farm_visibility computes it, is `target`."""
-    m = guess
+def _limit_giving(target, limit_of):
+    """Network limit whose padded value, as `limit_of` reads it from
+    FarmNetwork.limits, is `target`."""
+    # one pad below the target, then ulp by ulp
+    m = target - (limit_of(target) - target)
     for _ in range(16):
         got = limit_of(m)
         if got == target:
@@ -499,10 +507,10 @@ def test_simulate_mission_on_exact_limits(limit, tmp_path):
         for target, served in ((value, 0), (float(np.nextafter(value, -math.inf)), -1)):
             if limit == "slant":
                 net = sb.FarmNetwork(sites[j], 100e6, 89.0, _limit_giving(
-                    target, lambda m: m * (1.0 + 1e-12), target / (1.0 + 1e-12)))
+                    target, lambda m: sb.FarmNetwork(sites[j], 100e6, 89.0, m).limits[0]))
             else:
                 net = sb.FarmNetwork(sites[j], 100e6, _limit_giving(
-                    target, lambda m: m + 1e-9, target - 1e-9), 1e6)
+                    target, lambda m: sb.FarmNetwork(sites[j], 100e6, m, 1e6).limits[1]), 1e6)
             got = sb.simulate_mission(plan, a320(), net, default_chain())
             _assert_bit_equal(got, reference_mission(plan, a320(), net, default_chain()),
                               tmp_path)
@@ -595,6 +603,18 @@ NAN = math.nan
     lambda: sb.encircled_energy(None, np.zeros(3), NAN, 1.0),
     lambda: sb.airy_encircled_fraction(NAN, 1.0, sb.RfSpec.from_wavelength(0.1), 1e4),
     lambda: sb.farm_visibility([0.0, 0.0], [0.0, 0.0, NAN], _network([[0.0, 0.0]])),
+    lambda: sb.FarmNetwork([[NAN, 0.0]], 1e6, 60.0, 2e4),
+    lambda: sb.ArrayLayout([[NAN, 0.0, 0.0]], 1.0, 1.0),
+    lambda: sb.ArrayLayout([[0.0, NAN, 0.0]], 1.0, 1.0),
+    lambda: sb.ArrayLayout([[0.0, 0.0, NAN]], 1.0, 1.0),
+    lambda: sb.ArrayLayout(np.zeros((1, 3)), 1.0, NAN),
+    lambda: sb.ArrayLayout(np.zeros((0, 3)), 1.0, NAN),
+    lambda: sb.ReceiverPanel("underside", [NAN, 0.0, -1.0], 1.0, 0.85),
+    lambda: sb.BeamCommand([NAN, 0.0, 100.0], 1.0, np.zeros(1)),
+    lambda: sb.BeamCommand([0.0, 0.0, 100.0], 1.0, [NAN]),
+    lambda: sb.ObservationGrid([NAN, 0.0, 100.0], 3, 3, 1.0),
+    lambda: sb.best_panel(sb.world_panels(sb.default_panels(), np.eye(3)), [NAN, 0.0, 1.0]),
+    lambda: sb.level_attitude([NAN, 1.0]),
 ], ids=["aircraft.mass", "aircraft.lift_to_drag", "aircraft.propulsive_efficiency",
         "aircraft.cruise_speed", "aircraft.fuel_burn_reference", "plan.speed",
         "plan.timestep", "plan.altitude", "network.max_slant_range", "network.input_cap",
@@ -604,8 +624,33 @@ NAN = math.nan
         "farm_surface_density", "reflected_ground_density", "delivered_power",
         "fuel_price_per_kg", "breakeven_efficiency", "beamed_cost_per_hour",
         "farm_network_estimate", "encircled_energy", "airy_encircled_fraction",
-        "farm_visibility"])
+        "farm_visibility", "network.farms", "layout.positions_x", "layout.positions_y",
+        "layout.positions_z", "layout.aperture", "empty_layout.aperture", "panel.normal",
+        "command.target", "command.phases", "grid.center", "best_panel.beam",
+        "level_attitude.heading"])
 def test_domain_types_reject_nan(build):
     # the API checks stand on their own beside the scenario parser's
     with pytest.raises(InvalidArgumentError):
         build()
+
+
+@pytest.mark.parametrize("timestep, flown", [(5.0, [0, 1, 2]), (60.0, [0, 1, 2]),
+                                              (400.0, [1, 2])])
+def test_world_panels_once_per_flown_segment(timestep, flown, monkeypatch):
+    # each flown segment's panel normals are rotated once, whatever its step
+    # count; at 100 km per step no step midpoint falls on the 40 km first leg
+    calls = []
+
+    def counting(panels, attitude):
+        calls.append(attitude)
+        return sb.world_panels(panels, attitude)
+
+    monkeypatch.setattr(mission, "world_panels", counting)
+    wps = np.array([[0.0, 0.0, 10_000.0], [40_000.0, 0.0, 10_000.0],
+                    [40_000.0, 30_000.0, 10_000.0], [0.0, 60_000.0, 10_000.0]])
+    plan = sb.FlightPlan(wps, 250.0, timestep)
+    sites = np.array([[20_000.0, 0.0], [40_000.0, 15_000.0], [20_000.0, 45_000.0]])
+    trace = sb.simulate_mission(plan, a320(), _network(sites, scan=60.0), default_chain())
+    assert sorted(set(mission._sample_route(plan)[3].tolist())) == flown
+    assert (trace.farm_index >= 0).any()
+    assert len(calls) == len(flown)

@@ -17,13 +17,20 @@ import sys
 from pathlib import Path
 
 from . import economics as econ
+from . import lazy_attributes
 from . import link as link_mod
 from .errors import ScenarioValidationError, SkybeamError
-from .field import (ObservationGrid, evaluate_field_fast, focus_command,
-                    first_null_spot_diameter, measure_first_null_radius, spot_report)
-from .mission import cruise_power, mission_summary, simulate_mission
+from .link import cruise_power, first_null_spot_diameter, spot_report
 from .scenario import (MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario,
                        thread_count)
+
+# The engines of beam-map and coverage load numpy, so they are resolved on use,
+# as attributes of this module (`_engine.name`), which a tracer may rebind.
+__getattr__ = lazy_attributes(__name__, {
+    "ObservationGrid": "field", "evaluate_field_fast": "field", "focus_command": "field",
+    "measure_first_null_radius": "field", "mission_summary": "mission",
+    "simulate_mission": "mission"})
+_engine = sys.modules[__name__]
 
 
 def _json(data: dict) -> str:
@@ -81,14 +88,14 @@ def cmd_beam_map(scn: Scenario, args) -> str:
     power = _radiated_power(scn)
     grid_n = scn.output.grid_n if args.grid_n is None else map_grid_n(args.grid_n, "--grid-n")
     layout = scn.build_layout()
-    command = focus_command(layout, scn.rf, scn.beam.target, power)
+    command = _engine.focus_command(layout, scn.rf, scn.beam.target, power)
     window = scn.output.map_window
     if window is None:
         spot = first_null_spot_diameter(layout.aperture_diameter, scn.rf,
                                         float(scn.beam.target[2]))
         window = 6.0 * spot
-    grid = ObservationGrid.horizontal(scn.beam.target, grid_n, window)
-    fmap = evaluate_field_fast(layout, scn.rf, command, grid, threads=args.threads)
+    grid = _engine.ObservationGrid.horizontal(scn.beam.target, grid_n, window)
+    fmap = _engine.evaluate_field_fast(layout, scn.rf, command, grid, threads=args.threads)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,7 +112,7 @@ def cmd_beam_map(scn: Scenario, args) -> str:
         ("grid_n", grid_n),
         ("grid_window_m", window),
         ("peak_density_W_per_m2", fmap.peak_density),
-        ("measured_first_null_radius_m", measure_first_null_radius(fmap)),
+        ("measured_first_null_radius_m", _engine.measure_first_null_radius(fmap)),
         ("map_files", ";".join(written)),
     ]
     return _emit(pairs, args.format == "json", "beam map")
@@ -156,8 +163,8 @@ _REPORT_NAMES = {"reference_cruise_power_w": "reference_cruise_power_W"}
 
 
 def cmd_coverage(scn: Scenario, args) -> str:
-    trace = simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
-    summary = mission_summary(trace)
+    trace = _engine.simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
+    summary = _engine.mission_summary(trace)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

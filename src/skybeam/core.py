@@ -1,5 +1,5 @@
-"""Core domain types: RF carrier, element layout of the farm, beam command;
-and the CSV row writer behind the map and mission-trace files."""
+"""Array domain types: element layout of the farm, beam command; and the CSV
+row writer behind the map and mission-trace files."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .errors import InvalidArgumentError
-
-TWO_PI = 2.0 * math.pi
+from .link import TWO_PI
 
 # Rows per slice of write_csv, which holds one slice's cell strings at a time.
 _CSV_ROWS = 4096
@@ -21,37 +19,6 @@ def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class RfSpec:
-    """RF carrier: frequency [Hz] plus derived wavelength [m] and wavenumber [rad/m]."""
-
-    frequency: float
-    wavelength: float
-    wavenumber: float
-
-    def __post_init__(self):
-        if not self.frequency > 0.0:
-            raise InvalidArgumentError("frequency must be positive")
-        if abs(self.wavelength * self.frequency - SPEED_OF_LIGHT) > 1e-9 * SPEED_OF_LIGHT:
-            raise InvalidArgumentError("wavelength inconsistent with frequency")
-        if abs(self.wavenumber * self.wavelength - TWO_PI) > 1e-12 * TWO_PI:
-            raise InvalidArgumentError("wavenumber inconsistent with wavelength")
-
-    @classmethod
-    def from_frequency(cls, frequency: float) -> "RfSpec":
-        if frequency <= 0.0:
-            raise InvalidArgumentError("frequency must be positive")
-        wavelength = SPEED_OF_LIGHT / frequency
-        return cls(frequency, wavelength, TWO_PI / wavelength)
-
-    @classmethod
-    def from_wavelength(cls, wavelength: float) -> "RfSpec":
-        """Build from an exact wavelength (handy for round numbers like 0.10 m)."""
-        if wavelength <= 0.0:
-            raise InvalidArgumentError("wavelength must be positive")
-        return cls(SPEED_OF_LIGHT / wavelength, wavelength, TWO_PI / wavelength)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Field engine: focusing phases, near/far-field evaluation, focal-spot metrics.
+"""Field engine: focusing phases, near/far-field evaluation, measured spot metrics.
 
 Radiator model
 --------------
@@ -36,12 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, ArrayLayout, BeamCommand, RfSpec, write_csv
+from .core import ArrayLayout, BeamCommand, write_csv
 from .errors import (DegenerateGeometryError, InvalidArgumentError,
                      NearFieldWarning, ResolutionError)
-
-# Diffraction constant for a uniformly illuminated circular aperture.
-SPOT_DIAMETER_FACTOR = 1.22
+from .link import TWO_PI, RfSpec
 
 # Element-points per evaluation block: each (points x elements) temporary of
 # a block holds at most this many values, or one point's row for a larger
@@ -275,22 +273,8 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
 
 
 # ---------------------------------------------------------------------------
-# focal-spot metrics
+# focal-spot metrics of a sampled map
 # ---------------------------------------------------------------------------
-
-def first_null_spot_diameter(aperture_diameter: float, rf: RfSpec,
-                             range_m: float) -> float:
-    """Diffraction-limited focal spot size 1.22 * lambda * range / aperture [m].
-
-    Numerically this equals the radial distance from the beam axis to the
-    first intensity null of a uniformly illuminated circular aperture; it is
-    the figure quoted as the spot "diameter" in the headline link budgets
-    (the null-to-null width across the beam is twice this value).
-    """
-    if not aperture_diameter > 0.0 or not range_m > 0.0:
-        raise InvalidArgumentError("aperture_diameter and range must be positive")
-    return SPOT_DIAMETER_FACTOR * rf.wavelength * range_m / aperture_diameter
-
 
 def encircled_energy(fmap: FieldMap, center, disk_diameter: float,
                      total_power: float) -> float:
@@ -333,158 +317,6 @@ def measure_first_null_radius(fmap: FieldMap) -> float:
         if row[i] < row[i - 1] and row[i] <= row[i + 1]:
             return i * fmap.grid.spacing
     raise ResolutionError("no first null inside the map; enlarge the window")
-
-
-# Bessel functions J0 and J1 for x >= 0: the rational approximations of the
-# Cephes library (S. L. Moshier, 1989), with its coefficients (the leading 1
-# that its p1evl implies written out) and its order of evaluation, so results
-# are bit-equal to scipy.special.j0 / j1, which evaluate the same
-# approximations. Loading scipy would cost a `spot` process more than its report.
-_SQ2OPI = 7.9788456080286535587989E-1       # sqrt(2 / pi)
-_PI_4 = 7.85398163397448309616E-1
-_THPIO4 = 2.35619449019234492885            # 3 pi / 4
-_DR1, _DR2 = 5.78318596294678452118E0, 3.04712623436620863991E1   # J0 zeros squared
-_Z1, _Z2 = 1.46819706421238932572E1, 4.92184563216946036703E1     # J1 zeros squared
-_RP0 = (-4.79443220978201773821E9, 1.95617491946556577543E12,
-        -2.49248344360967716204E14, 9.70862251047306323952E15)
-_RQ0 = (1.0, 4.99563147152651017219E2, 1.73785401676374683123E5, 4.84409658339962045305E7,
-        1.11855537045356834862E10, 2.11277520115489217587E12, 3.10518229857422583814E14,
-        3.18121955943204943306E16, 1.71086294081043136091E18)
-_PP0 = (7.96936729297347051624E-4, 8.28352392107440799803E-2, 1.23953371646414299388E0,
-        5.44725003058768775090E0, 8.74716500199817011941E0, 5.30324038235394892183E0,
-        9.99999999999999997821E-1)
-_PQ0 = (9.24408810558863637013E-4, 8.56288474354474431428E-2, 1.25352743901058953537E0,
-        5.47097740330417105182E0, 8.76190883237069594232E0, 5.30605288235394617618E0,
-        1.00000000000000000218E0)
-_QP0 = (-1.13663838898469149931E-2, -1.28252718670509318512E0, -1.95539544257735972385E1,
-        -9.32060152123768231369E1, -1.77681167980488050595E2, -1.47077505154951170175E2,
-        -5.14105326766599330220E1, -6.05014350600728481186E0)
-_QQ0 = (1.0, 6.43178256118178023184E1, 8.56430025976980587198E2, 3.88240183605401609683E3,
-        7.24046774195652478189E3, 5.93072701187316984827E3, 2.06209331660327847417E3,
-        2.42005740240291393179E2)
-_RP1 = (-8.99971225705559398224E8, 4.52228297998194034323E11,
-        -7.27494245221818276015E13, 3.68295732863852883286E15)
-_RQ1 = (1.0, 6.20836478118054335476E2, 2.56987256757748830383E5, 8.35146791431949253037E7,
-        2.21511595479792499675E10, 4.74914122079991414898E12, 7.84369607876235854894E14,
-        8.95222336184627338078E16, 5.32278620332680085395E18)
-_PP1 = (7.62125616208173112003E-4, 7.31397056940917570436E-2, 1.12719608129684925192E0,
-        5.11207951146807644818E0, 8.42404590141772420927E0, 5.21451598682361504063E0,
-        1.00000000000000000254E0)
-_PQ1 = (5.71323128072548699714E-4, 6.88455908754495404082E-2, 1.10514232634061696926E0,
-        5.07386386128601488557E0, 8.39985554327604159757E0, 5.20982848682361821619E0,
-        9.99999999999999997461E-1)
-_QP1 = (5.10862594750176621635E-2, 4.98213872951233449420E0, 7.58238284132545283818E1,
-        3.66779609360150777800E2, 7.10856304998926107277E2, 5.97489612400613639965E2,
-        2.11688757100572135698E2, 2.52070205858023719784E1)
-_QQ1 = (1.0, 7.42373277035675149943E1, 1.05644886038262816351E3, 4.98641058337653607651E3,
-        9.56231892404756170795E3, 7.99704160447350683650E3, 2.82619278517639096600E3,
-        3.36093607810698293419E2)
-
-
-def _polevl(x: float, coef) -> float:
-    """Horner evaluation of the polynomial with coefficients coef, highest first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _j0(x: float) -> float:
-    """Bessel function of the first kind of order 0, for x >= 0."""
-    if x <= 5.0:
-        z = x * x
-        if x < 1.0e-5:
-            return 1.0 - z / 4.0
-        p = (z - _DR1) * (z - _DR2)
-        return p * _polevl(z, _RP0) / _polevl(z, _RQ0)
-    w = 5.0 / x
-    q = 25.0 / (x * x)
-    p = _polevl(q, _PP0) / _polevl(q, _PQ0)
-    q = _polevl(q, _QP0) / _polevl(q, _QQ0)
-    xn = x - _PI_4
-    p = p * math.cos(xn) - w * q * math.sin(xn)
-    return p * _SQ2OPI / math.sqrt(x)
-
-
-def _j1(x: float) -> float:
-    """Bessel function of the first kind of order 1, for x >= 0."""
-    if x <= 5.0:
-        z = x * x
-        w = _polevl(z, _RP1) / _polevl(z, _RQ1)
-        return w * x * (z - _Z1) * (z - _Z2)
-    w = 5.0 / x
-    z = w * w
-    p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-    q = _polevl(z, _QP1) / _polevl(z, _QQ1)
-    xn = x - _THPIO4
-    p = p * math.cos(xn) - w * q * math.sin(xn)
-    return p * _SQ2OPI / math.sqrt(x)
-
-
-def airy_encircled_fraction(disk_diameter: float, aperture_diameter: float,
-                            rf: RfSpec, range_m: float) -> float:
-    """Uniform-circular-aperture encircled-energy fraction, closed form.
-
-    1 - J0(x)^2 - J1(x)^2 with x = pi * D * rho / (lambda * R), rho the disk
-    radius. Valid for an aperture focused exactly at range R.
-    """
-    if not disk_diameter >= 0.0:
-        raise InvalidArgumentError("disk_diameter must be non-negative")
-    x = math.pi * aperture_diameter * (0.5 * disk_diameter) / (rf.wavelength * range_m)
-    if x == 0.0:
-        return 0.0
-    return 1.0 - _j0(x) ** 2 - _j1(x) ** 2
-
-
-def airy_peak_density(radiated_power: float, aperture_diameter: float,
-                      rf: RfSpec, range_m: float) -> float:
-    """On-axis power density P * A / (lambda * R)^2 of the focused aperture [W/m^2].
-
-    Infinite when (lambda * R)^2 underflows to zero.
-    """
-    area = math.pi * (0.5 * aperture_diameter) ** 2
-    spread = (rf.wavelength * range_m) ** 2
-    return radiated_power * area / spread if spread > 0.0 else math.inf
-
-
-@dataclass(frozen=True)
-class SpotReport:
-    """Focal-spot summary for a uniformly filled circular aperture at one range.
-
-    first_null_diameter follows the quoted-spot convention (radial extent of
-    the central lobe, 1.22 lambda R / D); the enclosing null-bounded disk has
-    twice this geometric diameter.
-    """
-
-    aperture_diameter: float
-    range_m: float
-    wavelength: float
-    radiated_power: float
-    first_null_diameter: float
-    peak_density: float
-    encircled_fraction_first_null: float
-
-    def encircled_fraction_at(self, disk_diameter: float) -> float:
-        """Encircled fraction inside a disk of the given geometric diameter."""
-        rf = RfSpec.from_wavelength(self.wavelength)
-        return airy_encircled_fraction(disk_diameter, self.aperture_diameter,
-                                       rf, self.range_m)
-
-
-def spot_report(aperture_diameter: float, rf: RfSpec, range_m: float,
-                radiated_power: float) -> SpotReport:
-    """Closed-form SpotReport (uniform circular aperture theory)."""
-    fn = first_null_spot_diameter(aperture_diameter, rf, range_m)
-    return SpotReport(
-        aperture_diameter=aperture_diameter,
-        range_m=range_m,
-        wavelength=rf.wavelength,
-        radiated_power=radiated_power,
-        first_null_diameter=fn,
-        peak_density=airy_peak_density(radiated_power, aperture_diameter, rf, range_m),
-        encircled_fraction_first_null=airy_encircled_fraction(
-            2.0 * fn, aperture_diameter, rf, range_m),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,122 +1,60 @@
-"""Mission simulation: farm visibility, greedy power assignment, fuel integration."""
+"""Mission simulation: aircraft attitude and panel choice, farm visibility,
+greedy power assignment, fuel integration."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import JET_FUEL_SPECIFIC_ENERGY, STANDARD_GRAVITY
+from .constants import JET_FUEL_SPECIFIC_ENERGY
 from .core import write_csv
 from .errors import InvalidArgumentError, NoVisiblePanelError
-from .link import (EfficiencyChain, ReceiverPanel, best_panel, default_panels, level_attitude,
-                   world_panels)
+from .link import (PANEL_LABELS, Aircraft, EfficiencyChain, FarmNetwork, FlightPlan,
+                   ReceiverPanel, cruise_power, check_heading)
 
 
-@dataclass(frozen=True)
-class Aircraft:
-    """Turbo-electric airliner cruise model."""
-
-    mass: float                   # kg
-    lift_to_drag: float
-    propulsive_efficiency: float  # electric motor + fan, fraction
-    cruise_speed: float           # m/s
-    fuel_burn_reference: float    # kg/h at reference cruise, turbofan only
-    panels: list[ReceiverPanel] = field(default_factory=default_panels)
-
-    def __post_init__(self):
-        if not (self.mass > 0.0 and self.cruise_speed > 0.0 and self.fuel_burn_reference > 0.0):
-            raise InvalidArgumentError("mass, cruise_speed and fuel_burn_reference must be positive")
-        if not self.lift_to_drag > 1.0:
-            raise InvalidArgumentError("lift_to_drag must exceed 1")
-        if not 0.0 < self.propulsive_efficiency <= 1.0:
-            raise InvalidArgumentError("propulsive_efficiency must be in (0, 1]")
-        if not self.panels:
-            raise InvalidArgumentError("aircraft needs at least one receiver panel")
+def level_attitude(heading) -> np.ndarray:
+    """Body-to-world rotation for level flight with the nose along `heading` (xy)."""
+    check_heading(float(heading[0]), float(heading[1]))
+    fwd = np.array([heading[0], heading[1], 0.0], dtype=float)
+    fwd /= np.linalg.norm(fwd)
+    up = np.array([0.0, 0.0, 1.0])
+    left = np.cross(up, fwd)
+    return np.column_stack([fwd, left, up])
 
 
-@dataclass(frozen=True)
-class FarmNetwork:
-    """Ground farm sites with shared service limits."""
-
-    farms: np.ndarray             # (m, 2) ground positions [m]
-    input_cap: np.ndarray         # (m,) max grid draw per farm [W]
-    max_scan_deg: float           # beam steering limit from zenith
-    max_slant_range: float        # m
-
-    def __post_init__(self):
-        farms = np.atleast_2d(np.asarray(self.farms, dtype=float))
-        if farms.size == 0:
-            farms = farms.reshape(0, 2)
-        if farms.ndim != 2 or farms.shape[1] != 2 or not np.isfinite(farms).all():
-            raise InvalidArgumentError("farms must be an (m, 2) array of finite positions")
-        caps = np.asarray(self.input_cap, dtype=float)
-        if caps.ndim == 0:
-            caps = np.full(farms.shape[0], float(caps))
-        if caps.shape != (farms.shape[0],):
-            raise InvalidArgumentError("input_cap must match the number of farms")
-        if not np.all(caps >= 0.0):
-            raise InvalidArgumentError("input caps must be non-negative")
-        if not 0.0 < self.max_scan_deg < 90.0:
-            raise InvalidArgumentError("max_scan_deg must be in (0, 90)")
-        if not self.max_slant_range > 0.0:
-            raise InvalidArgumentError("max_slant_range must be positive")
-        for name, arr in (("farms", farms), ("input_cap", caps)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_farms(self) -> int:
-        return self.farms.shape[0]
-
-    @property
-    def limits(self) -> tuple[float, float]:
-        """Inclusive (slant, scan) bounds, padded so exact-boundary geometry survives rounding."""
-        return self.max_slant_range * (1.0 + 1e-12), self.max_scan_deg + 1e-9
-
-    @classmethod
-    def empty(cls) -> "FarmNetwork":
-        return cls(np.zeros((0, 2)), np.zeros(0), 60.0, 20e3)
+def world_panels(panels, attitude) -> list[tuple[ReceiverPanel, np.ndarray]]:
+    """Each panel with its inward world normal -(attitude @ normal), for a finite
+    (3, 3) body-to-world attitude, in tie-break order: PANEL_LABELS order first,
+    then other labels, list position breaking ties."""
+    if not panels:
+        raise InvalidArgumentError("need at least one panel")
+    rot = np.asarray(attitude, dtype=float)
+    if rot.shape != (3, 3) or not np.isfinite(rot).all():
+        raise InvalidArgumentError("attitude must be a finite 3x3 rotation matrix")
+    rank = {label: i for i, label in enumerate(PANEL_LABELS)}
+    ordered = sorted(panels, key=lambda p: rank.get(p.label, len(PANEL_LABELS)))
+    return [(panel, -(rot @ np.asarray(panel.normal))) for panel in ordered]
 
 
-@dataclass(frozen=True)
-class FlightPlan:
-    """Waypoint route flown at constant speed, sampled every `timestep` seconds."""
-
-    waypoints: np.ndarray         # (k, 3) x, y, altitude [m]
-    speed: float                  # m/s
-    timestep: float = 10.0        # s
-    # measured once, here: segment lengths, route length at each waypoint [m], steps
-    segment_lengths: np.ndarray = field(init=False, repr=False)
-    distance: np.ndarray = field(init=False, repr=False)
-    n_steps: int = field(init=False)
-
-    def __post_init__(self):
-        wps = np.asarray(self.waypoints, dtype=float)
-        if wps.ndim != 2 or wps.shape[1] != 3 or wps.shape[0] < 2:
-            raise InvalidArgumentError("need at least 2 waypoints of (x, y, altitude)")
-        if not np.all(wps[:, 2] > 0.0):
-            raise InvalidArgumentError("waypoint altitude must be positive")
-        if not (self.speed > 0.0 and self.timestep > 0.0):
-            raise InvalidArgumentError("speed and timestep must be positive")
-        seg_len = np.linalg.norm(np.diff(wps, axis=0), axis=1)
-        if np.any(seg_len <= 0.0):
-            raise InvalidArgumentError("consecutive waypoints must be distinct")
-        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        steps = cum[-1] / self.speed / self.timestep - 1e-12
-        if not math.isfinite(steps):
-            raise InvalidArgumentError("the route must take a finite number of steps")
-        for name, arr in (("waypoints", wps), ("segment_lengths", seg_len), ("distance", cum)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_steps", max(1, math.ceil(steps)))
-
-
-def cruise_power(aircraft: Aircraft) -> float:
-    """Electric power needed for steady level cruise [W]: m g V / (L/D * eta)."""
-    return (aircraft.mass * STANDARD_GRAVITY * aircraft.cruise_speed
-            / (aircraft.lift_to_drag * aircraft.propulsive_efficiency))
+def best_panel(facing, beam_direction) -> tuple[ReceiverPanel, float]:
+    """Panel with the largest incidence cosine for an incoming beam: the first in
+    `facing` (world_panels of the aircraft) with the largest inward normal .
+    beam_direction, the unit farm-to-aircraft vector in the world frame. Raises
+    NoVisiblePanelError when every cosine is <= 0."""
+    b = np.asarray(beam_direction, dtype=float)
+    if not abs(np.linalg.norm(b) - 1.0) <= 1e-9:
+        raise InvalidArgumentError("beam_direction must be a unit vector")
+    chosen, best = None, -math.inf
+    for panel, normal in facing:
+        cosine = float(normal @ b)
+        if cosine > best:
+            chosen, best = panel, cosine
+    if not best > 0.0:
+        raise NoVisiblePanelError("no panel faces the beam (aircraft shadowed)")
+    return chosen, best
 
 
 @dataclass(frozen=True)
@@ -261,7 +199,7 @@ def _sample_route(plan: FlightPlan):
     midpoint (halves the boundary error where coverage switches on or off).
     Step k flies segment `seg_idx[k]`, whose xy heading is `headings[seg_idx[k]]`.
     """
-    wps, seg_len, cum = plan.waypoints, plan.segment_lengths, plan.distance
+    wps, seg_len, cum = map(np.asarray, (plan.waypoints, plan.segment_lengths, plan.distance))
     seg = np.diff(wps, axis=0)
     total_t = cum[-1] / plan.speed
     starts = np.arange(plan.n_steps) * plan.timestep
@@ -300,22 +238,20 @@ def _serve(site, position, network: FarmNetwork, facing):
     return v, panel, cos_inc
 
 
-def _candidates(positions, seg_idx, facing, network: FarmNetwork) -> np.ndarray:
-    """(steps x farms) mask of the pairs _serve may accept.
+def _candidates(positions, normals, farms, network: FarmNetwork) -> np.ndarray:
+    """(steps x farms) mask of the pairs _serve may accept, from each step's
+    (panels x 3) inward world normals and the (farms x 2) sites.
 
     One array pass over slant, scan and the best panel cosine, each widened by
     _BAND at its bound, so it holds every pair _serve accepts.
     """
-    farms = network.farms
     dx = positions[:, 0, None] - farms[None, :, 0]
     dy = positions[:, 1, None] - farms[None, :, 1]
     pz = positions[:, 2, None]
     slant = np.sqrt(dx * dx + dy * dy + pz * pz)
     scan = np.degrees(np.arccos(np.minimum(1.0, pz / slant)))
     slant_lim, scan_lim = network.limits
-    # best cosine n . b over the inward normals n of facing[segment], b = (dx, dy, pz) / slant
-    segs, step_seg = np.unique(seg_idx, return_inverse=True)
-    normals = np.array([[n for _, n in facing[s]] for s in segs.tolist()])[step_seg]
+    # best cosine n . b over the inward normals n, b = (dx, dy, pz) / slant
     best = np.full(slant.shape, -np.inf)
     for nx, ny, nz in normals.transpose(1, 2, 0)[..., None]:
         np.maximum(best, dx * nx + dy * ny + pz * nz, out=best)
@@ -357,9 +293,15 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
     burn_ref = aircraft.fuel_burn_reference / 3600.0            # kg/s
     fuel_chain_eff = p_ref / (JET_FUEL_SPECIFIC_ENERGY * burn_ref)
 
-    # the heading, and so each panel's world normal, is constant along a segment
+    # the heading, and so each panel's world normal, is constant along a segment;
+    # the prefilter reads the normals as one (segments x panels x 3) array
     facing = {s: world_panels(aircraft.panels, level_attitude(headings[s]))
               for s in np.unique(seg_idx).tolist()}
+    normals = np.zeros((len(headings), len(aircraft.panels), 3))
+    for s, seg_facing in facing.items():
+        normals[s] = [normal for _, normal in seg_facing]
+    farms = np.asarray(network.farms).reshape(-1, 2)
+    caps = np.asarray(network.input_cap)
 
     farm_index = np.full(n, -1, dtype=int)
     slant = np.full(n, math.nan)
@@ -371,15 +313,16 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
 
     # the walk order: largest cap first, lowest index on ties; a zero cap
     # serves nothing, and nor does any farm after it in this order
-    order = np.argsort(-network.input_cap, kind="stable")
-    order = order[network.input_cap[order] > 0.0]
+    order = np.argsort(-caps, kind="stable")
+    order = order[caps[order] > 0.0]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        usable = _candidates(positions[block], seg_idx[block], facing, network)[:, order]
+        usable = _candidates(positions[block], normals[seg_idx[block]], farms,
+                             network)[:, order]
         for i in np.flatnonzero(usable.any(axis=1)):
             k = start + i
             for j in order[usable[i]]:
-                served = _serve(network.farms[j], positions[k], network, facing[seg_idx[k]])
+                served = _serve(farms[j], positions[k], network, facing[seg_idx[k]])
                 if served is not None:
                     break
             else:
@@ -387,7 +330,7 @@ def simulate_mission(plan: FlightPlan, aircraft: Aircraft, network: FarmNetwork,
             v, panel, cos_inc = served
             eff = chain.at_incidence(cos_inc)
             if p_ref > 0.0 and eff > 0.0:
-                delivered[k] = min(network.input_cap[j], p_ref / eff) * eff
+                delivered[k] = min(caps[j], p_ref / eff) * eff
                 farm_index[k] = j
                 slant[k], scan[k], panel_lbl[k], cosine[k] = (
                     v.slant_range, v.scan_deg, panel.label, cos_inc)

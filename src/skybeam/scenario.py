@@ -26,19 +26,22 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-from .core import ArrayLayout, RfSpec, make_planar_array
+from . import lazy_attributes
 from .economics import CostModel
 from .errors import (InvalidArgumentError, ScenarioFileError, ScenarioParseError,
                      ScenarioValidationError)
-from .link import EfficiencyChain, ReceiverPanel, default_panels, level_attitude
-from .mission import Aircraft, FarmNetwork, FlightPlan
+from .link import (Aircraft, EfficiencyChain, FarmNetwork, FlightPlan, ReceiverPanel, RfSpec,
+                   check_heading, default_panels, vector_length)
+
+# The layout builder loads numpy, so it is resolved on use; build_layout calls
+# it through this module's attribute, which a tracer may rebind.
+__getattr__ = lazy_attributes(__name__, {"make_planar_array": "core"})
 
 _SECTIONS = ("rf", "array", "beam", "chain", "aircraft", "network", "plan",
              "cost", "safety", "econ", "output")
@@ -187,8 +190,8 @@ def _spacing(value, path: str, values) -> float:
     return spacing
 
 
-def _target(value, path: str, values) -> np.ndarray:
-    target = np.asarray(_vector(value, path, 3), dtype=float)
+def _target(value, path: str, values) -> tuple[float, ...]:
+    target = tuple(_vector(value, path, 3))
     if target[2] <= 0.0:
         raise ScenarioValidationError(path, "altitude (third entry) must be positive")
     _floor(target[2], path)
@@ -214,16 +217,20 @@ def _panels(value, path: str, values) -> list[ReceiverPanel]:
         normal = _vector(p.get("normal"), f"{item_path}.normal", 3)
         area = POSITIVE(p.get("area"), f"{item_path}.area")
         eff = CLOSED_FRACTION(p.get("rf_to_dc", 0.85), f"{item_path}.rf_to_dc")
-        norm = float(np.linalg.norm(normal))
+        norm = vector_length(*normal)
         if norm <= 0.0:
             raise ScenarioValidationError(f"{item_path}.normal", "must be non-zero")
         # a shorter normal divides back to a vector that is not of unit length
         _floor(norm, f"{item_path}.normal")
-        panels.append(ReceiverPanel(label, np.asarray(normal) / norm, area, eff))
+        # numpy divides: coverage reads these bits, and numpy's 1-D norm goes
+        # through BLAS, whose rounding plain Python does not match on every CPU
+        import numpy as np
+        unit = tuple((np.asarray(normal) / np.linalg.norm(normal)).tolist())
+        panels.append(ReceiverPanel(label, unit, area, eff))
     return panels
 
 
-def _farms(value, path: str, values) -> np.ndarray:
+def _farms(value, path: str, values) -> list:
     if not isinstance(value, list):
         raise ScenarioValidationError(path, "must be a list of [x, y] pairs")
     sites = []
@@ -231,21 +238,18 @@ def _farms(value, path: str, values) -> np.ndarray:
         if not isinstance(site, (list, tuple)) or len(site) != 2:
             raise ScenarioValidationError(f"{path}[{idx}]", "must be a pair of numbers")
         sites.append([_finite(v, f"{path}[{idx}]") for v in site])
-    return np.asarray(sites, dtype=float).reshape(len(sites), 2)
+    return sites
 
 
-def _input_cap(value, path: str, values) -> np.ndarray:
-    n_farms = values["network"]["farms"].shape[0]
-    if isinstance(value, (list, tuple)):
-        if len(value) != n_farms:
-            raise ScenarioValidationError(path, "list length must match farms")
-        caps = [NON_NEGATIVE(c, f"{path}[{idx}]") for idx, c in enumerate(value)]
-    else:
-        caps = [NON_NEGATIVE(value, path)] * n_farms
-    return np.asarray(caps, dtype=float)
+def _input_cap(value, path: str, values):
+    if not isinstance(value, (list, tuple)):
+        return NON_NEGATIVE(value, path)        # FarmNetwork gives it to every farm
+    if len(value) != len(values["network"]["farms"]):
+        raise ScenarioValidationError(path, "list length must match farms")
+    return [NON_NEGATIVE(c, f"{path}[{idx}]") for idx, c in enumerate(value)]
 
 
-def _waypoints(value, path: str, values) -> np.ndarray:
+def _waypoints(value, path: str, values) -> list:
     if not isinstance(value, list) or len(value) < 2:
         raise ScenarioValidationError(path, "need at least 2 waypoints")
     wps = []
@@ -258,19 +262,19 @@ def _waypoints(value, path: str, values) -> np.ndarray:
             raise ScenarioValidationError(wp_path, "altitude must be positive")
         _floor(wp[2], wp_path)
         if wps:
-            delta = np.subtract(wp, wps[-1])
-            # a zero-length segment, measured as the mission measures segments
-            if np.linalg.norm(delta) <= 0.0:
+            dx, dy, dz = (b - a for a, b in zip(wps[-1], wp))
+            # a zero-length segment, measured as FlightPlan measures segments
+            if vector_length(dx, dy, dz) <= 0.0:
                 raise ScenarioValidationError(wp_path, "must differ from the previous waypoint")
             # the mission flies each segment level along its horizontal heading
             try:
-                level_attitude(delta[:2])
+                check_heading(dx, dy)
             except InvalidArgumentError:
                 raise ScenarioValidationError(
                     wp_path, "must not be straight above or below the previous waypoint"
                 ) from None
         wps.append(wp)
-    return np.asarray(wps, dtype=float)
+    return wps
 
 
 def _coverage(value, path: str, values) -> tuple:
@@ -397,12 +401,13 @@ class Scenario:
     def estimated_element_count(self) -> float:
         """Disk-grid element count without building the layout."""
         r_idx = self.array.aperture_diameter / (2.0 * self.array.spacing)
-        return float(np.pi) * r_idx * r_idx
+        return math.pi * r_idx * r_idx
 
-    def build_layout(self) -> ArrayLayout:
+    def build_layout(self):
+        """The element layout (a core.ArrayLayout)."""
         array = self.array
-        return make_planar_array(array.aperture_diameter, array.spacing,
-                                 array.fill_fraction, array.seed)
+        return sys.modules[__name__].make_planar_array(
+            array.aperture_diameter, array.spacing, array.fill_fraction, array.seed)
 
     def radiated_power(self) -> float:
         """Beam power leaving the farm: grid input times the DC-to-RF stage."""

@@ -511,3 +511,85 @@ def test_no_command_loads_scipy(tmp_path):
     assert json.loads(done.stdout) == {"import": False, "link": False, "econ": False,
                                        "safety": False, "coverage": False,
                                        "beam-map": False, "spot": False}
+
+
+
+# A fresh interpreter per case; it runs the CLI module as `python -m` does, or
+# only imports a module (--import NAME), and reports on stderr's last line.
+_NUMPY_PROBE = """
+import runpy, sys
+code = None
+if sys.argv[1] == "--import":
+    __import__(sys.argv[2])
+else:
+    try:
+        runpy.run_module("skybeam.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        code = done.code
+print(f"exit {code} numpy {'numpy' in sys.modules}", file=sys.stderr)
+"""
+
+_CLOSED_FORMS = [[command, "--scenario", scenario, "--format", fmt]
+                 for command in ("spot", "link", "econ", "safety")
+                 for scenario in ("a320_baseline", "spot_scaled") for fmt in ("csv", "json")]
+
+
+def _probe(tmp_path, *argv) -> str:
+    src = str(Path(skybeam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    (tmp_path / "invalid.json").write_text('{"aircraft": {"mass": -1}}', encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode in (0, 2, 3, 4), done.stderr
+    return done.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in _CLOSED_FORMS),
+    (["spot", "--scenario", "missing.json"], 2),
+    (["safety", "--format", "xml"], 2),
+    (["link", "--scenario", "bad.json"], 3),
+    (["econ", "--scenario", "invalid.json"], 4),
+    (["--import", "skybeam"], None),
+    (["--import", "skybeam.cli"], None),
+], ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v, list) else str(v))
+def test_closed_form_commands_never_load_numpy(tmp_path, argv, code):
+    assert _probe(tmp_path, *argv) == f"exit {code} numpy False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["beam-map", "--scenario", "spot_scaled", "--grid-n", "21", "--out", "out"],
+    ["coverage", "--out", "out"],
+], ids=["beam-map", "coverage"])
+def test_engine_commands_load_numpy(tmp_path, argv):
+    assert _probe(tmp_path, *argv) == "exit 0 numpy True"
+
+
+# every name the package exported when it imported all of its modules up front
+_EXPORTED = """
+Aircraft ArrayLayout BeamCommand CostModel DegenerateGeometryError EfficiencyChain
+FarmAssignment FarmNetwork FarmNetworkEstimate FieldMap FlightPlan GratingLobeReport
+InvalidArgumentError JET_FUEL_SPECIFIC_ENERGY MissionTrace NearFieldWarning
+NoVisiblePanelError ObservationGrid ReceiverPanel ResolutionError RfSpec SPEED_OF_LIGHT
+STANDARD_GRAVITY Scenario ScenarioFileError ScenarioParseError ScenarioValidationError
+SkybeamError SpotReport Visibility airy_encircled_fraction airy_peak_density assign_farms
+beamed_cost beamed_cost_per_hour best_panel breakeven_efficiency coverage_fraction
+cruise_power default_panels delivered_power encircled_energy evaluate_field_fast
+farm_network_estimate farm_surface_density farm_visibility first_null_spot_diameter
+focus_command fuel_price_per_kg grating_lobe_margin level_attitude make_planar_array
+matched_element_spacing measure_first_null_radius mission_summary parse_scenario
+reflected_ground_density scenario_from_dict simulate_mission solve_focus_phases
+spot_report world_panels
+""".split()
+
+
+def test_every_export_resolves_to_its_definition():
+    assert sorted(skybeam.__all__) == sorted(_EXPORTED)
+    for name in _EXPORTED:
+        value = getattr(skybeam, name)
+        if hasattr(value, "__module__"):
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        skybeam.no_such_name

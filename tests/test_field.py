@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import skybeam as sb
-from skybeam import field
+from skybeam import field, link
 from skybeam.errors import (DegenerateGeometryError, InvalidArgumentError,
                             NearFieldWarning, ResolutionError)
 
@@ -271,7 +271,7 @@ def test_airy_closed_form_matches_radial_quadrature(rf10cm):
 
 
 def test_bessel_port_matches_scipy():
-    """field._j0 / _j1 port the Cephes approximations that scipy.special.j0 / j1
+    """link._j0 / _j1 port the Cephes approximations that scipy.special.j0 / j1
     evaluate, so they agree bit for bit on both branches and at their edges."""
     from scipy import special
     rng = np.random.default_rng(20261018)
@@ -283,8 +283,8 @@ def test_bessel_port_matches_scipy():
          math.nextafter(5.0, 6.0), *(1.22 * math.pi * n for n in (1, 2, 3))],
     ])
     assert np.count_nonzero(x < 1e-5) > 1000 and 5.0 in x
-    np.testing.assert_array_equal([field._j0(v) for v in x.tolist()], special.j0(x))
-    np.testing.assert_array_equal([field._j1(v) for v in x.tolist()], special.j1(x))
+    np.testing.assert_array_equal([link._j0(v) for v in x.tolist()], special.j0(x))
+    np.testing.assert_array_equal([link._j1(v) for v in x.tolist()], special.j1(x))
 
 
 def test_encircled_energy_resolution_guards(rf10cm):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skybeam as sb
+from skybeam import link
 from skybeam.errors import InvalidArgumentError, NoVisiblePanelError
 
 
@@ -132,7 +133,7 @@ def test_tie_breaks_by_label_order(labels, order):
               for i, (label, normal) in enumerate(zip(labels, _TIED_NORMALS))]
     facing = sb.world_panels(panels, np.eye(3))
     assert [p.area for p, _ in facing] == [float(i + 1) for i in order]
-    assert all((n == -p.normal).all() for p, n in facing)
+    assert all((n == -np.asarray(p.normal)).all() for p, n in facing)
     panel, cosine = sb.best_panel(facing, [0.0, 0.0, 1.0])
     assert panel is panels[order[0]]
     assert cosine == _DIAG
@@ -147,6 +148,94 @@ def test_panel_validation():
         sb.world_panels([], np.eye(3))
     with pytest.raises(InvalidArgumentError):
         sb.world_panels(sb.default_panels(), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# plain-Python lengths against numpy, the reference they replace
+# ---------------------------------------------------------------------------
+
+def _neighbours(value: float, count: int = 3) -> list[float]:
+    """value and its `count` nearest floats on each side."""
+    out, lo, hi = [value], value, value
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _blas_norm(v) -> float:
+    """The 1-D norm the validators used to take: numpy's, through BLAS ddot."""
+    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+
+
+# the panel-normal floor, the heading bound and the ends of the unit-normal band
+BOUNDS = [1e-9, 1e-12, 1.0 - 1e-9, 1.0 + 1e-9]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_plain_length_decides_as_numpy_on_an_axis(bound):
+    # along an axis both lengths are sqrt(x * x), so every decision agrees
+    for value in _neighbours(bound):
+        for axis in range(3):
+            v = [0.0, 0.0, 0.0]
+            v[axis] = -value if axis == 2 else value
+            assert (link.vector_length(*v) < bound) == (_blas_norm(v) < bound)
+            assert link.vector_length(*v) == _blas_norm(v)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_plain_length_leaves_numpy_only_within_two_ulps(bound):
+    # Off an axis, BLAS may fuse the multiply-adds and plain Python cannot, so
+    # the two lengths may differ in the last bits. Known disagreement: a
+    # decision at a bound can differ when the length lies within 2 ulp of it.
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        u = rng.normal(size=3)
+        v = (u / np.linalg.norm(u) * bound * (1.0 + rng.uniform(-4e-16, 4e-16))).tolist()
+        plain, blas = link.vector_length(*v), _blas_norm(v)
+        assert abs(plain - blas) <= 2 * math.ulp(blas)
+        if (plain < bound) != (blas < bound):
+            assert abs(blas - bound) <= 2 * math.ulp(bound)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e-162, 1.5e-162, 1e-161, 1e-160, 1e-154])
+def test_plain_zero_length_is_numpys(scale):
+    # a length is 0 exactly when every square underflows to 0, in either sum
+    for v in ([scale, 0.0, 0.0], [0.0, scale, 0.0], [scale, scale, scale],
+              [scale, -scale, 0.0]):
+        assert (link.vector_length(*v) <= 0.0) == (_blas_norm(v) <= 0.0)
+        assert (link.vector_length(*v) <= 0.0) == (np.linalg.norm([v], axis=1)[0] <= 0.0)
+
+
+@pytest.mark.parametrize("value", _neighbours(1e-12) + [5e-324, 0.0])
+def test_heading_bound_decides_as_numpy(value):
+    refused = not _blas_norm([value, 0.0, 0.0]) >= 1e-12
+    for heading in ([value, 0.0], [0.0, -value]):
+        try:
+            link.check_heading(*heading)
+        except InvalidArgumentError:
+            assert refused
+        else:
+            assert not refused
+
+
+@pytest.mark.parametrize("heading", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 1.0],
+                                     [1e200, 0.0]])
+def test_heading_must_be_finite(heading):
+    with pytest.raises(InvalidArgumentError):
+        link.check_heading(*heading)
+
+
+@pytest.mark.parametrize("length", _neighbours(1.0 - 1e-9) + _neighbours(1.0 + 1e-9))
+def test_unit_normal_band_decides_as_numpy(length):
+    normal = [0.0, 0.0, -length]
+    accepted = abs(_blas_norm(normal) - 1.0) <= 1e-9
+    try:
+        sb.ReceiverPanel("underside", normal, 1.0, 0.85)
+    except InvalidArgumentError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,68 @@ def test_plan_counts_its_steps():
     plan = sb.FlightPlan(np.array([[0.0, 0.0, 10.0], [600.0, 0.0, 10.0],
                                    [600.0, 400.0, 10.0]]), 250.0, 1.5)
     assert plan.n_steps == 3
-    assert plan.distance.tolist() == [0.0, 600.0, 1000.0]
+    assert plan.distance == (0.0, 600.0, 1000.0)
     # a route of exactly whole steps gets no extra step for rounding
     assert sb.FlightPlan(plan.waypoints, 250.0, 0.4).n_steps == 10
     assert sb.FlightPlan(plan.waypoints, 250.0, 100.0).n_steps == 1
+
+
+def _numpy_measure(waypoints, speed, timestep):
+    """Segment lengths, distances and step count as numpy measured them."""
+    seg = np.linalg.norm(np.diff(np.asarray(waypoints, dtype=float), axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    steps = max(1, math.ceil(cum[-1] / speed / timestep - 1e-12))
+    return [x.hex() for x in seg.tolist()], [x.hex() for x in cum.tolist()], steps
+
+
+def _plain_measure(plan):
+    return ([x.hex() for x in plan.segment_lengths], [x.hex() for x in plan.distance],
+            plan.n_steps)
+
+
+def _seeded_routes():
+    rng = np.random.default_rng(1019)
+    for scale in (1e-3, 1.0, 1e4, 1e6, 1e12):
+        for n in (2, 3, 7, 13):
+            xy = np.cumsum(rng.normal(size=(n, 2)) * scale, axis=0)
+            z = rng.uniform(0.5, 2.0, n) * max(scale, 1.0)
+            yield np.column_stack([xy, z]).tolist(), float(rng.uniform(50.0, 300.0)), \
+                float(10.0 ** rng.uniform(-2.0, 2.0))
+
+
+def _edge_routes():
+    up = math.nextafter
+    x = 123_456.789
+    yield [[0, 0, 1e4], [1e15, 0, 1e4], [1e15, -1e15, 1e15]], 250.0, 10.0
+    yield [[0, 0, 1e4], [1e-160, 0, 1e4], [1e-160, 1e-160, 1e4]], 250.0, 1e-9
+    yield [[0, 0, 1e4], [0, 0, 2e4], [1e5, 0, 2e4]], 250.0, 10.0
+    # waypoints one ulp apart, on each axis and on all three at once
+    y = up(x, math.inf)
+    yield [[x, x, x], [y, x, x], [y, y, x], [y, y, y]], 1.0, 1.0
+    yield [[x, x, x], [up(x, 0), up(x, 0), up(x, 0)], [x, x, y]], 250.0, 1e-12
+    yield [[1e9, -1e9, 1e4], [up(1e9, 0), up(-1e9, 0), up(1e4, 0)]], 0.3, 7.0
+
+
+def _routes_at_the_step_cap():
+    # each route once with a timestep whose step count is one under, at and one
+    # over the cap, then the neighbouring timesteps
+    from skybeam.scenario import MAX_MISSION_STEPS
+    for waypoints, speed, _ in list(_seeded_routes())[::4]:
+        length = float(np.cumsum(np.linalg.norm(np.diff(waypoints, axis=0), axis=1))[-1])
+        for steps in (MAX_MISSION_STEPS - 1, MAX_MISSION_STEPS, MAX_MISSION_STEPS + 1):
+            timestep = length / speed / steps
+            for dt in (math.nextafter(timestep, 0.0), timestep, math.nextafter(timestep, 1.0)):
+                yield waypoints, speed, dt
+
+
+@pytest.mark.parametrize("routes", [_seeded_routes, _edge_routes, _routes_at_the_step_cap],
+                         ids=["seeded", "edges", "at_step_cap"])
+def test_plan_measures_as_numpy(routes):
+    # FlightPlan measures in plain Python; numpy's row norm and cumsum stay the
+    # reference, bit for bit, and so does the step count
+    for waypoints, speed, timestep in routes():
+        plan = sb.FlightPlan(waypoints, speed, timestep)
+        assert _plain_measure(plan) == _numpy_measure(waypoints, speed, timestep), waypoints
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +564,11 @@ def test_simulate_mission_on_exact_limits(limit, tmp_path):
         value = scalar[k, j]
         for target, served in ((value, 0), (float(np.nextafter(value, -math.inf)), -1)):
             if limit == "slant":
-                net = sb.FarmNetwork(sites[j], 100e6, 89.0, _limit_giving(
-                    target, lambda m: sb.FarmNetwork(sites[j], 100e6, 89.0, m).limits[0]))
+                net = sb.FarmNetwork([sites[j]], 100e6, 89.0, _limit_giving(
+                    target, lambda m: sb.FarmNetwork([sites[j]], 100e6, 89.0, m).limits[0]))
             else:
-                net = sb.FarmNetwork(sites[j], 100e6, _limit_giving(
-                    target, lambda m: sb.FarmNetwork(sites[j], 100e6, m, 1e6).limits[1]), 1e6)
+                net = sb.FarmNetwork([sites[j]], 100e6, _limit_giving(
+                    target, lambda m: sb.FarmNetwork([sites[j]], 100e6, m, 1e6).limits[1]), 1e6)
             got = sb.simulate_mission(plan, a320(), net, default_chain())
             _assert_bit_equal(got, reference_mission(plan, a320(), net, default_chain()),
                               tmp_path)
@@ -615,6 +673,9 @@ NAN = math.nan
     lambda: sb.ObservationGrid([NAN, 0.0, 100.0], 3, 3, 1.0),
     lambda: sb.best_panel(sb.world_panels(sb.default_panels(), np.eye(3)), [NAN, 0.0, 1.0]),
     lambda: sb.level_attitude([NAN, 1.0]),
+    lambda: sb.level_attitude([math.inf, 0.0]),
+    lambda: sb.world_panels(sb.default_panels(), np.full((3, 3), NAN)),
+    lambda: sb.world_panels(sb.default_panels(), np.diag([1.0, math.inf, 1.0])),
 ], ids=["aircraft.mass", "aircraft.lift_to_drag", "aircraft.propulsive_efficiency",
         "aircraft.cruise_speed", "aircraft.fuel_burn_reference", "plan.speed",
         "plan.timestep", "plan.altitude", "network.max_slant_range", "network.input_cap",
@@ -627,7 +688,8 @@ NAN = math.nan
         "farm_visibility", "network.farms", "layout.positions_x", "layout.positions_y",
         "layout.positions_z", "layout.aperture", "empty_layout.aperture", "panel.normal",
         "command.target", "command.phases", "grid.center", "best_panel.beam",
-        "level_attitude.heading"])
+        "level_attitude.heading", "level_attitude.infinite_heading",
+        "world_panels.nan_attitude", "world_panels.infinite_attitude"])
 def test_domain_types_reject_nan(build):
     # the API checks stand on their own beside the scenario parser's
     with pytest.raises(InvalidArgumentError):
@@ -640,10 +702,11 @@ def test_world_panels_once_per_flown_segment(timestep, flown, monkeypatch):
     # each flown segment's panel normals are rotated once, whatever its step
     # count; at 100 km per step no step midpoint falls on the 40 km first leg
     calls = []
+    world_panels = mission.world_panels
 
     def counting(panels, attitude):
         calls.append(attitude)
-        return sb.world_panels(panels, attitude)
+        return world_panels(panels, attitude)
 
     monkeypatch.setattr(mission, "world_panels", counting)
     wps = np.array([[0.0, 0.0, 10_000.0], [40_000.0, 0.0, 10_000.0],

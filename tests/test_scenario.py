@@ -312,7 +312,7 @@ def test_field_bounds(path, outside, message, inside, extra):
     scn = sb.scenario_from_dict(with_field(path, inside, extra))
     # the value is read back at its file path
     section, key = path.split(".")
-    assert np.all(getattr(getattr(scn, section), key) == inside)
+    assert np.all(np.asarray(getattr(getattr(scn, section), key)) == inside)
 
 
 def test_every_field_is_read_at_its_file_path():
@@ -462,3 +462,64 @@ def test_nearly_vertical_segment_accepted():
     # the smallest horizontal step level_attitude accepts as a heading
     sb.scenario_from_dict({"plan": {"waypoints": [[0, 0, 1e4], [1e-12, 0, 2e4],
                                                   [1e5, 0, 1e4]]}})
+
+
+def _numpy_length(v) -> float:
+    """The 1-D numpy norm the scenario checks took before they went plain."""
+    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+
+
+@pytest.mark.parametrize("dx", [5e-324, 1e-170, 1e-162, 1.5e-162, 1e-161, 1e-160])
+def test_short_segment_is_judged_as_numpy_judged_it(dx):
+    # below ~1.5e-162 the squares underflow and the segment has no length
+    # (repeated waypoint); above, it is a segment with no horizontal heading
+    for delta in ([dx, 0.0, 0.0], [dx, dx, 0.0], [0.0, -dx, 0.0]):
+        waypoints = [[0.0, 0.0, 1e4], [delta[0], delta[1], 1e4], [1e5, 0.0, 1e4]]
+        expected = ("must differ from the previous waypoint" if _numpy_length(delta) <= 0.0
+                    else "must not be straight above or below the previous waypoint")
+        with pytest.raises(ScenarioValidationError) as err:
+            sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+        assert str(err.value) == f"plan.waypoints[1]: {expected}"
+
+
+def _neighbours(value: float, count: int = 3) -> list[float]:
+    out, lo, hi = [value], value, value
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("dx", _neighbours(1e-12))
+def test_heading_bound_is_numpys(dx):
+    waypoints = [[0.0, 0.0, 1e4], [dx, 0.0, 2e4], [1e5, 0.0, 1e4]]
+    refused = not _numpy_length([dx, 0.0, 0.0]) >= 1e-12
+    try:
+        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+    except ScenarioValidationError as err:
+        assert refused and err.field_path == "plan.waypoints[1]"
+    else:
+        assert not refused
+
+
+@pytest.mark.parametrize("length", _neighbours(MIN_MAGNITUDE))
+def test_normal_floor_is_numpys(length):
+    refused = _numpy_length([0.0, length, 0.0]) < MIN_MAGNITUDE
+    data = {"aircraft": {"panels": [panel(normal=[0.0, length, 0.0])]}}
+    try:
+        scn = sb.scenario_from_dict(data)
+    except ScenarioValidationError as err:
+        assert refused and str(err) == f"aircraft.panels[0].normal: {TOO_SMALL}"
+    else:
+        assert not refused
+        assert scn.aircraft.panels[0].normal == (0.0, 1.0, 0.0)
+
+
+def test_file_normals_keep_numpys_bits():
+    # the unit normal of a file-given panel is numpy's division, bit for bit
+    rng = np.random.default_rng(3)
+    normals = (rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-8, 14, (50, 1))).tolist()
+    scn = sb.scenario_from_dict({"aircraft": {"panels": [panel(normal=n) for n in normals]}})
+    for got, normal in zip(scn.aircraft.panels, normals):
+        want = np.asarray(normal) / np.linalg.norm(normal)
+        assert [x.hex() for x in got.normal] == [x.hex() for x in want.tolist()]

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 def lazy_attributes(module: str, sources: dict[str, str]):
     """A PEP 562 __getattr__ for `module` that looks each name of `sources` up,
     on every access, in the skybeam submodule it maps to. `module` calls such
-    a name as `sys.modules[__name__].name`, so a value set on it comes first."""
+    a name as an attribute of itself, so a value set on it comes first."""
     def __getattr__(name: str):
         if name not in sources:
             raise AttributeError(f"module {module!r} has no attribute {name!r}")

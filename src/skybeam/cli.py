@@ -25,12 +25,13 @@ from .scenario import (MAX_MAP_ELEMENTS, Scenario, map_grid_n, parse_scenario,
                        thread_count)
 
 # The engines of beam-map and coverage load numpy, so they are resolved on use,
-# as attributes of this module (`_engine.name`), which a tracer may rebind.
+# as attributes of skybeam.cli (`_engine.name`), which a tracer may rebind; under
+# `python -m` this code runs as __main__, a second copy of the module.
 __getattr__ = lazy_attributes(__name__, {
     "ObservationGrid": "field", "evaluate_field_fast": "field", "focus_command": "field",
     "measure_first_null_radius": "field", "mission_summary": "mission",
     "simulate_mission": "mission"})
-_engine = sys.modules[__name__]
+from . import cli as _engine  # noqa: E402  (this module, as imported)
 
 
 def _json(data: dict) -> str:

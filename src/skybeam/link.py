@@ -24,7 +24,7 @@ PANEL_LABELS = ("underside", "lower-front", "lower-tail")
 def vector_length(dx: float, dy: float, dz: float = 0.0) -> float:
     """Euclidean length with the squares summed left to right, as numpy sums a
     row: bit-equal to np.linalg.norm(rows, axis=1). A 1-D np.linalg.norm goes
-    through BLAS, which may fuse the multiply-adds, so it can differ by an ulp."""
+    through BLAS, which may fuse the multiply-adds, so it can differ by 2 ulp."""
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 

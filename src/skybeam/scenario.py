@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,9 +38,10 @@ from .errors import (InvalidArgumentError, ScenarioFileError, ScenarioParseError
 from .link import (Aircraft, EfficiencyChain, FarmNetwork, FlightPlan, ReceiverPanel, RfSpec,
                    check_heading, default_panels, vector_length)
 
-# The layout builder loads numpy, so it is resolved on use; build_layout calls
-# it through this module's attribute, which a tracer may rebind.
+# The layout builder loads numpy, so it is resolved on use, as an attribute of
+# skybeam.scenario (`_engine.make_planar_array`), which a tracer may rebind.
 __getattr__ = lazy_attributes(__name__, {"make_planar_array": "core"})
+from . import scenario as _engine  # noqa: E402  (this module, as imported)
 
 _SECTIONS = ("rf", "array", "beam", "chain", "aircraft", "network", "plan",
              "cost", "safety", "econ", "output")
@@ -406,8 +406,8 @@ class Scenario:
     def build_layout(self):
         """The element layout (a core.ArrayLayout)."""
         array = self.array
-        return sys.modules[__name__].make_planar_array(
-            array.aperture_diameter, array.spacing, array.fill_fraction, array.seed)
+        return _engine.make_planar_array(array.aperture_diameter, array.spacing,
+                                         array.fill_fraction, array.seed)
 
     def radiated_power(self) -> float:
         """Beam power leaving the farm: grid input times the DC-to-RF stage."""

@@ -11,6 +11,7 @@ import pytest
 
 import skybeam
 from skybeam import cli, errors
+from skybeam import scenario as scenario_module
 from skybeam.cli import build_parser, main
 from skybeam.field import ObservationGrid
 from skybeam.scenario import MAX_MAP_POINTS, Scenario, resolve_scenario_path
@@ -142,6 +143,25 @@ def test_coverage_flies_one_mission(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate_mission", counted)
     assert run_cli(capsys, "coverage", "--out", str(tmp_path))[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("module, name", [
+    (cli, "focus_command"), (cli, "evaluate_field_fast"), (cli, "measure_first_null_radius"),
+    (scenario_module, "make_planar_array"),
+])
+def test_beam_map_calls_through_module_bindings(tmp_path, capsys, monkeypatch, module, name):
+    # the engines load on use, yet a binding set on the module (as a tracer
+    # sets one) still sees the call
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    argv = ["beam-map", "--scenario", "spot_scaled", "--grid-n", "21", "--out", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [name]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -10,7 +10,6 @@ byte-identical outputs; --threads changes speed only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -183,8 +182,7 @@ def cmd_econ(scn: Scenario, args) -> str:
     end_to_end = scn.chain.end_to_end
     if not end_to_end > 0.0:
         # blame the first zero stage
-        stage = next(f.name for f in dataclasses.fields(scn.chain)
-                     if getattr(scn.chain, f.name) == 0.0)
+        stage = next(name for name in scn.chain.STAGES if getattr(scn.chain, name) == 0.0)
         raise ScenarioValidationError(
             f"chain.{stage}", f"gives an end-to-end efficiency of {end_to_end:.3g}; "
             "the cost of beamed power needs a positive one")
@@ -209,11 +207,12 @@ def cmd_econ(scn: Scenario, args) -> str:
     # one farm-count row per configured coverage fraction
     covs = scn.econ.coverage_fraction
     tags = [f"_at_{cov:g}" for cov in covs] if len(covs) > 1 else [""]
+    first = {}     # row label -> index of the entry that first gave it
     for idx, (cov, tag) in enumerate(zip(covs, tags)):
-        if tag in tags[:idx]:
+        if first.setdefault(tag, idx) != idx:
             raise ScenarioValidationError(
                 f"econ.coverage_fraction[{idx}]", f"has the row label {tag} of "
-                f"econ.coverage_fraction[{tags.index(tag)}]; entries must differ in "
+                f"econ.coverage_fraction[{first[tag]}]; entries must differ in "
                 "their first 6 significant digits")
         estimate = econ.farm_network_estimate(scn.econ.territory_area_km2, cov,
                                               scn.econ.farm_area_km2)

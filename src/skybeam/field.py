@@ -22,7 +22,8 @@ commanded total when sampled denser than one element per lambda^2/pi of
 aperture (up to 4/pi at half-wavelength pitch) and leaks power into grating
 lobes when sampled coarser. At the matched pitch lambda/sqrt(pi) - cell area
 equal to the cosine element's beam solid angle 4pi/G0 - the model reproduces
-classical aperture theory and conserves energy; see matched_element_spacing.
+classical aperture theory and conserves energy; see matched_element_spacing
+in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ _BLOCK_ELEMENT_POINTS = 16384
 def _block_points(n_active: int) -> int:
     """Grid points per evaluation block for an array of n_active elements."""
     return max(1, _BLOCK_ELEMENT_POINTS // n_active)
-
-
-def matched_element_spacing(rf: RfSpec) -> float:
-    """Element pitch at which the scalar model conserves energy: lambda / sqrt(pi).
-
-    The grid cell area then equals the cosine element's beam solid angle
-    (lambda^2 / pi), so a filled aperture radiates the commanded total and
-    matches classical uniform-aperture theory.
-    """
-    return rf.wavelength / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +267,6 @@ def evaluate_field_fast(layout: ArrayLayout, rf: RfSpec, command: BeamCommand,
 # focal-spot metrics of a sampled map
 # ---------------------------------------------------------------------------
 
-def encircled_energy(fmap: FieldMap, center, disk_diameter: float,
-                     total_power: float) -> float:
-    """Fraction of total_power inside the disk of the given geometric diameter.
-
-    Riemann sum of power density over grid cells whose centers fall inside the
-    disk around `center` (a point on the map plane). Requires at least 8
-    samples across the disk and the whole disk inside the map extent.
-    """
-    if not disk_diameter > 0.0 or not total_power > 0.0:
-        raise InvalidArgumentError("disk_diameter and total_power must be positive")
-    grid = fmap.grid
-    if disk_diameter / grid.spacing < 8.0:
-        raise ResolutionError(
-            f"disk {disk_diameter:.4g} m spans fewer than 8 grid samples "
-            f"(spacing {grid.spacing:.4g} m)")
-    center = np.asarray(center, dtype=float)
-    cu, cv = (float(c) for c in (center - grid.center)[:2])
-    radius = 0.5 * disk_diameter
-    half_u = (grid.n_u - 1) / 2.0 * grid.spacing
-    half_v = (grid.n_v - 1) / 2.0 * grid.spacing
-    if abs(cu) + radius > half_u + 1e-12 or abs(cv) + radius > half_v + 1e-12:
-        raise ResolutionError("integration disk extends beyond the map")
-    du = fmap.grid.u_offsets[None, :] - cu
-    dv = fmap.grid.v_offsets[:, None] - cv
-    mask = du * du + dv * dv <= radius * radius
-    return float(fmap.power_density[mask].sum() * grid.spacing ** 2 / total_power)
-
-
 def measure_first_null_radius(fmap: FieldMap) -> float:
     """Radial distance from the map center to the first local density minimum.
 
@@ -317,40 +280,3 @@ def measure_first_null_radius(fmap: FieldMap) -> float:
         if row[i] < row[i - 1] and row[i] <= row[i + 1]:
             return i * fmap.grid.spacing
     raise ResolutionError("no first null inside the map; enlarge the window")
-
-
-# ---------------------------------------------------------------------------
-# steering diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GratingLobeReport:
-    """Clearance of the nearest grating lobe from visible space."""
-
-    margin: float      # min_m |sin(scan) - m lambda/d| - 1; > 0 means lobe-free
-    lobe_free: bool
-
-
-def grating_lobe_margin(spacing: float, rf: RfSpec,
-                        max_scan_from_zenith_deg: float) -> GratingLobeReport:
-    """Worst-case grating-lobe clearance for an element pitch and scan limit.
-
-    Steered to angle t from zenith, candidate lobes sit at
-    sin(theta) = sin(t) - m * lambda / spacing for integer m != 0. The margin
-    is the smallest |candidate sine| minus 1; a lobe is visible (lobe_free
-    False) when some candidate lands inside [-1, 1].
-    """
-    if not spacing > 0.0:
-        raise InvalidArgumentError("spacing must be positive")
-    if not 0.0 <= max_scan_from_zenith_deg < 90.0 + 1e-12:
-        raise InvalidArgumentError("scan angle must be in [0, 90] degrees")
-    u0 = math.sin(math.radians(max_scan_from_zenith_deg))
-    ratio = rf.wavelength / spacing
-    m_max = int(math.ceil((1.0 + u0) / ratio)) + 1
-    best = math.inf
-    for m in range(-m_max, m_max + 1):
-        if m == 0:
-            continue
-        best = min(best, abs(u0 - m * ratio))
-    margin = best - 1.0
-    return GratingLobeReport(margin=margin, lobe_free=margin > 0.0)

@@ -253,8 +253,11 @@ class EfficiencyChain:
     incidence_cosine: float
     rf_to_dc: float
 
+    # the stage fields, in order (a class attribute, not a field)
+    STAGES = ("dc_to_rf", "beam_collection", "incidence_cosine", "rf_to_dc")
+
     def __post_init__(self):
-        for name in ("dc_to_rf", "beam_collection", "incidence_cosine", "rf_to_dc"):
+        for name in self.STAGES:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidArgumentError(f"{name} must be in [0, 1], got {v}")

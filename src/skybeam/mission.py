@@ -1,5 +1,5 @@
 """Mission simulation: aircraft attitude and panel choice, farm visibility,
-greedy power assignment, fuel integration."""
+the serving farm of each step, fuel integration."""
 
 from __future__ import annotations
 
@@ -93,7 +93,8 @@ class FarmAssignment:
 
 
 def assign_farms(required_w, visible, efficiencies, farm_caps_w) -> FarmAssignment:
-    """Greedy delivered-power assignment of farms to aircraft.
+    """Greedy delivered-power assignment of farms to aircraft. No command calls it:
+    it is the single-aircraft oracle of the tests' reference_mission; perfbench wraps it.
 
     required_w: per-aircraft delivered-power need [W].
     visible[i]: farm indices visible to aircraft i.

@@ -34,14 +34,15 @@ import time
 import numpy as np
 import pytest
 
-import skybeam as sb
+from skybeam import core, economics, field, link, mission
 from skybeam.cli import main as cli_main
 
-from conftest import (airy_encircled_quad, evaluate_field_oracle, hemisphere_power_oracle,
-                      hemisphere_rings, line_array_factor, random_disk_layout,
-                      ring_density, square_grid_layout)
+from conftest import (airy_encircled_quad, encircled_energy, evaluate_field_oracle,
+                      grating_lobe_margin, hemisphere_power_oracle, hemisphere_rings,
+                      line_array_factor, matched_element_spacing, random_disk_layout, ring_density,
+                      square_grid_layout)
 
-RF = sb.RfSpec.from_wavelength(0.1)
+RF = link.RfSpec.from_wavelength(0.1)
 FLAGSHIP_D = 1000.0
 FLAGSHIP_R = 10_000.0
 
@@ -57,19 +58,19 @@ def criterion(number: int, title: str):
 
 
 def _measured_null(aperture, spacing, range_m, grid_n, window):
-    layout = sb.make_planar_array(aperture, spacing)
+    layout = core.make_planar_array(aperture, spacing)
     target = np.array([0.0, 0.0, range_m])
-    cmd = sb.focus_command(layout, RF, target, 1.0)
-    grid = sb.ObservationGrid.horizontal(target, grid_n, window)
-    fmap = sb.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
-    return sb.measure_first_null_radius(fmap)
+    cmd = field.focus_command(layout, RF, target, 1.0)
+    grid = field.ObservationGrid.horizontal(target, grid_n, window)
+    fmap = field.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
+    return field.measure_first_null_radius(fmap)
 
 
 def test_criterion_1_spot_size():
     """Closed-form spot at the flagship scale; measured null on scaled runs."""
     with criterion(1, "spot size"):
         start = time.monotonic()
-        closed = sb.first_null_spot_diameter(FLAGSHIP_D, RF, FLAGSHIP_R)
+        closed = link.first_null_spot_diameter(FLAGSHIP_D, RF, FLAGSHIP_R)
         assert closed == pytest.approx(1.22, rel=1e-12)
 
         # scaled case: D=50 m at R=500 m keeps lambda R / D = 1.0 m, so the
@@ -95,32 +96,32 @@ def test_criterion_2_encircled_energy():
     absolute flagship sizes.
     """
     with criterion(2, "encircled energy"):
-        spacing = sb.matched_element_spacing(RF)
+        spacing = matched_element_spacing(RF)
         aperture, range_m = 4.0, 40.0
-        layout = sb.make_planar_array(aperture, spacing)
+        layout = core.make_planar_array(aperture, spacing)
         target = np.array([0.0, 0.0, range_m])
         total = 1.0
-        cmd = sb.focus_command(layout, RF, target, total)
-        grid = sb.ObservationGrid.horizontal(target, 301, 8.4)
+        cmd = field.focus_command(layout, RF, target, total)
+        grid = field.ObservationGrid.horizontal(target, 301, 8.4)
         # bit-identical at any thread count (criterion 10)
-        fmap = sb.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
+        fmap = field.evaluate_field_fast(layout, RF, cmd, grid, threads=os.cpu_count())
 
-        spot = sb.first_null_spot_diameter(aperture, RF, range_m)
+        spot = link.first_null_spot_diameter(aperture, RF, range_m)
         assert spot == pytest.approx(1.22, rel=1e-12)
 
         # first-null disk = the null-bounded disk, radius 1.22 m
-        first_null = sb.encircled_energy(fmap, target, 2.0 * spot, total)
+        first_null = encircled_energy(fmap, target, 2.0 * spot, total)
         assert 0.80 <= first_null <= 0.90
         # the independent oracle places it at ~0.8378
         oracle = airy_encircled_quad(math.pi * aperture * spot / (0.1 * range_m))
         assert first_null == pytest.approx(oracle, abs=0.02)
 
         # the 3.7 m spot figure is a radial extent (see module docstring)
-        disk_37 = sb.encircled_energy(fmap, target, 2.0 * 3.7, total)
+        disk_37 = encircled_energy(fmap, target, 2.0 * 3.7, total)
         assert disk_37 >= 0.90
 
         # the integral is deterministic: a repeat call gives the same result
-        assert sb.encircled_energy(fmap, target, 2.0 * spot, total) == \
+        assert encircled_energy(fmap, target, 2.0 * spot, total) == \
             pytest.approx(first_null, rel=1e-12)
 
 
@@ -130,7 +131,7 @@ def _conservation_cases():
     for seed in (11, 42):
         cases.append(("29 sparse random", random_disk_layout(29, 8.0, seed), 260, 520))
     cases.append(("89 matched grid",
-                  sb.make_planar_array(0.6, sb.matched_element_spacing(RF)), 200, 400))
+                  core.make_planar_array(0.6, matched_element_spacing(RF)), 200, 400))
     cases.append(("64 sparse random", random_disk_layout(64, 12.0, 20240809), 400, 800))
     return cases
 
@@ -139,7 +140,7 @@ def _conservation_cases():
 def test_hemisphere_ring_density_matches_the_field_oracle(case):
     """The conservation check's ring sum is the field oracle's direct summation."""
     name, lay, n_t, n_p = _conservation_cases()[case]
-    c = sb.focus_command(lay, RF, np.array([0.0, 0.0, FLAGSHIP_R]), 1.0)
+    c = field.focus_command(lay, RF, np.array([0.0, 0.0, FLAGSHIP_R]), 1.0)
     rings = hemisphere_rings(n_t, n_p, FLAGSHIP_R)
     pts, _, _ = next(itertools.islice(rings, n_t // 2, None))
     _, expected = evaluate_field_oracle(lay, RF, c, pts)
@@ -155,12 +156,12 @@ def test_criterion_3_oracle_equivalence_and_conservation():
         # 64x64 full square array over a 101x101 grid at 10 km
         layout = square_grid_layout(64, 0.05)
         target = np.array([0.0, 0.0, FLAGSHIP_R])
-        cmd = sb.focus_command(layout, RF, target, 1.0)
-        grid = sb.ObservationGrid.horizontal(target, 101, 2000.0)
-        fmap = sb.evaluate_field_fast(layout, RF, cmd, grid)
-        field, dens = evaluate_field_oracle(layout, RF, cmd, grid.points())
-        field_scale = np.abs(field).max()
-        assert np.abs(fmap.complex_field.ravel() - field).max() / field_scale < 1e-10
+        cmd = field.focus_command(layout, RF, target, 1.0)
+        grid = field.ObservationGrid.horizontal(target, 101, 2000.0)
+        fmap = field.evaluate_field_fast(layout, RF, cmd, grid)
+        oracle, dens = evaluate_field_oracle(layout, RF, cmd, grid.points())
+        field_scale = np.abs(oracle).max()
+        assert np.abs(fmap.complex_field.ravel() - oracle).max() / field_scale < 1e-10
         assert np.abs(fmap.power_density.ravel() - dens).max() / dens.max() < 1e-10
 
         # conservation: commanded power out of the hemisphere within 2 %, for
@@ -168,7 +169,7 @@ def test_criterion_3_oracle_equivalence_and_conservation():
         # conserves energy (sparse irregular, and matched-pitch grids)
         for name, lay, n_t, n_p in _conservation_cases():
             assert lay.n_active <= 100
-            c = sb.focus_command(lay, RF, target, 1.0)
+            c = field.focus_command(lay, RF, target, 1.0)
             power = hemisphere_power_oracle(lay, RF, c, n_t, n_p, r=FLAGSHIP_R)
             assert power == pytest.approx(1.0, abs=0.02), name
 
@@ -180,22 +181,22 @@ def test_criterion_4_thinned_array_curse():
     """Focal-disk collection ratio tracks the fill fraction (64x64 array)."""
     with criterion(4, "thinned array curse"):
         aperture, range_m = 3.2, 32.0   # 64 elements across at half-wavelength
-        layout = sb.make_planar_array(aperture, 0.05)
+        layout = core.make_planar_array(aperture, 0.05)
         target = np.array([0.0, 0.0, range_m])
-        disk = 2.0 * sb.first_null_spot_diameter(aperture, RF, range_m)
+        disk = 2.0 * link.first_null_spot_diameter(aperture, RF, range_m)
         total = float(layout.n_active)
-        grid = sb.ObservationGrid.horizontal(target, 97, 3.7)
+        grid = field.ObservationGrid.horizontal(target, 97, 3.7)
 
         def disk_power(lay):
-            cmd = sb.focus_command(lay, RF, target, total)
-            fmap = sb.evaluate_field_fast(lay, RF, cmd, grid, threads=os.cpu_count())
-            return sb.encircled_energy(fmap, target, disk, total)
+            cmd = field.focus_command(lay, RF, target, total)
+            fmap = field.evaluate_field_fast(lay, RF, cmd, grid, threads=os.cpu_count())
+            return encircled_energy(fmap, target, disk, total)
 
         full = disk_power(layout)
         for fill in (0.5, 0.9):
             ratios = []
             for seed in range(10):
-                sparse = sb.make_planar_array(aperture, 0.05, fill, seed)
+                sparse = core.make_planar_array(aperture, 0.05, fill, seed)
                 ratios.append(disk_power(sparse) / full)
             mean_ratio = float(np.mean(ratios))
             assert mean_ratio == pytest.approx(fill, abs=0.05), \
@@ -207,11 +208,11 @@ def test_criterion_5_grating_lobes():
     pitch steered to 30 degrees throws a secondary peak at -30 degrees."""
     with criterion(5, "grating lobes"):
         for scan in (0.0, 30.0, 60.0, 89.0, 89.9):
-            assert sb.grating_lobe_margin(0.05, RF, scan).lobe_free, scan
-        assert sb.grating_lobe_margin(0.05, RF, 90.0).margin == \
+            assert grating_lobe_margin(0.05, RF, scan).lobe_free, scan
+        assert grating_lobe_margin(0.05, RF, 90.0).margin == \
             pytest.approx(0.0, abs=1e-12)
 
-        rep = sb.grating_lobe_margin(0.1, RF, 30.0)
+        rep = grating_lobe_margin(0.1, RF, 30.0)
         assert not rep.lobe_free
 
         # independent check: direct array-factor scan of a 64-element line;
@@ -230,21 +231,21 @@ def test_criterion_5_grating_lobes():
 def test_criterion_6_a320_numbers():
     """Cruise power, breakeven efficiency, beamed cost, reference burn."""
     with criterion(6, "A320 numbers"):
-        aircraft = sb.Aircraft(50_000.0, 18.0, 0.6, 250.0, 2400.0)
-        p_cruise = sb.cruise_power(aircraft)
+        aircraft = link.Aircraft(50_000.0, 18.0, 0.6, 250.0, 2400.0)
+        p_cruise = link.cruise_power(aircraft)
         assert p_cruise == pytest.approx(11.35e6, rel=0.01)
 
-        price = sb.beamed_cost(sb.CostModel(solar_lcoe=24.0))
+        price = economics.beamed_cost(economics.CostModel(solar_lcoe=24.0))
         assert price == 36.0  # 24 $/MWh + 50 % uplift, exact
 
-        breakeven = sb.breakeven_efficiency(p_cruise, price, 1992.0)
+        breakeven = economics.breakeven_efficiency(p_cruise, price, 1992.0)
         assert breakeven == pytest.approx(0.205, abs=0.01)
 
         # constant-mass fuel-only mission reproduces the reference burn
-        plan = sb.FlightPlan(np.array([[0.0, 0.0, 10_000.0],
-                                       [250_000.0, 0.0, 10_000.0]]), 250.0, 10.0)
-        chain = sb.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
-        trace = sb.simulate_mission(plan, aircraft, sb.FarmNetwork.empty(), chain)
+        plan = link.FlightPlan(np.array([[0.0, 0.0, 10_000.0],
+                                         [250_000.0, 0.0, 10_000.0]]), 250.0, 10.0)
+        chain = link.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
+        trace = mission.simulate_mission(plan, aircraft, link.FarmNetwork.empty(), chain)
         hours = trace.duration_s / 3600.0
         assert trace.total_fuel_kg == pytest.approx(2400.0 * hours, rel=1e-12)
 
@@ -252,18 +253,18 @@ def test_criterion_6_a320_numbers():
 def test_criterion_7_safety():
     """Surface density, delivered power, reflected-density model output."""
     with criterion(7, "safety"):
-        assert sb.farm_surface_density(100e6, 1e6) == 100.0
+        assert link.farm_surface_density(100e6, 1e6) == 100.0
 
-        chain = sb.EfficiencyChain(1.0, 1.0, 1.0, 0.2)
-        assert sb.delivered_power(100e6, chain) == 20e6
-        default = sb.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
-        assert sb.delivered_power(100e6, default) == pytest.approx(20e6, rel=1e-12)
+        chain = link.EfficiencyChain(1.0, 1.0, 1.0, 0.2)
+        assert link.delivered_power(100e6, chain) == 20e6
+        default = link.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
+        assert link.delivered_power(100e6, default) == pytest.approx(20e6, rel=1e-12)
 
         # reflected density is reported, not bounded: the simple aperture
         # re-radiation model exceeds 100 W/m^2 in the worst case
-        reflected = sb.reflected_ground_density(100e6, 3.7, RF, FLAGSHIP_R)
+        reflected = link.reflected_ground_density(100e6, 3.7, RF, FLAGSHIP_R)
         assert reflected > 0.0
-        ground_d = sb.first_null_spot_diameter(3.7, RF, FLAGSHIP_R)
+        ground_d = link.first_null_spot_diameter(3.7, RF, FLAGSHIP_R)
         assert reflected == pytest.approx(
             100e6 / (math.pi * (ground_d / 2.0) ** 2), rel=1e-12)
         print(f"  reflected-density model output: {reflected:.1f} W/m^2 "
@@ -273,7 +274,7 @@ def test_criterion_7_safety():
 def test_criterion_8_farm_network():
     """Continental farm count and mean spacing."""
     with criterion(8, "farm network estimate"):
-        est = sb.farm_network_estimate(8.08e6, 0.001, 1.0)
+        est = economics.farm_network_estimate(8.08e6, 0.001, 1.0)
         assert est.farm_count == pytest.approx(8080.0, rel=1e-12)
         assert abs(est.farm_count - 8000.0) / 8000.0 <= 0.05
         assert est.mean_spacing_km == pytest.approx(31.6, abs=0.1)
@@ -285,18 +286,18 @@ def test_criterion_8_farm_network():
 def test_criterion_9_coverage_properties():
     """Grid-row coverage, empty-network baseline, beaming never adds fuel."""
     with criterion(9, "coverage properties"):
-        aircraft = sb.Aircraft(50_000.0, 18.0, 0.6, 250.0, 2400.0)
-        chain = sb.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
-        plan = sb.FlightPlan(np.array([[0.0, 0.0, 10_000.0],
-                                       [500_000.0, 0.0, 10_000.0]]), 250.0, 10.0)
+        aircraft = link.Aircraft(50_000.0, 18.0, 0.6, 250.0, 2400.0)
+        chain = link.EfficiencyChain(0.5, 0.47058823529411764, 1.0, 0.85)
+        plan = link.FlightPlan(np.array([[0.0, 0.0, 10_000.0],
+                                         [500_000.0, 0.0, 10_000.0]]), 250.0, 10.0)
 
         sites = np.array([[i * 31_600.0, 0.0] for i in range(17)])
-        net = sb.FarmNetwork(sites, 100e6, 60.0, 20_000.0)
-        trace = sb.simulate_mission(plan, aircraft, net, chain)
-        assert sb.coverage_fraction(trace) >= 0.95
+        net = link.FarmNetwork(sites, 100e6, 60.0, 20_000.0)
+        trace = mission.simulate_mission(plan, aircraft, net, chain)
+        assert mission.coverage_fraction(trace) >= 0.95
 
-        empty = sb.simulate_mission(plan, aircraft, sb.FarmNetwork.empty(), chain)
-        assert sb.coverage_fraction(empty) == 0.0
+        empty = mission.simulate_mission(plan, aircraft, link.FarmNetwork.empty(), chain)
+        assert mission.coverage_fraction(empty) == 0.0
         hours = empty.duration_s / 3600.0
         assert empty.total_fuel_kg == pytest.approx(2400.0 * hours, rel=1e-12)
 
@@ -310,23 +311,23 @@ def test_criterion_9_coverage_properties():
                 np.cumsum(rng.uniform(20_000.0, 120_000.0, n_wp)),
                 rng.uniform(-40_000.0, 40_000.0, n_wp),
                 rng.uniform(8_000.0, 11_000.0, n_wp)])
-            p = sb.FlightPlan(wps, float(rng.uniform(200.0, 270.0)),
-                              float(rng.uniform(20.0, 40.0)))
+            p = link.FlightPlan(wps, float(rng.uniform(200.0, 270.0)),
+                                float(rng.uniform(20.0, 40.0)))
             n_farm = int(rng.integers(0, 8))
             if n_farm:
-                farm_net = sb.FarmNetwork(
+                farm_net = link.FarmNetwork(
                     np.column_stack([rng.uniform(0.0, 4e5, n_farm),
                                      rng.uniform(-5e4, 5e4, n_farm)]),
                     rng.uniform(2e7, 1.5e8, n_farm),
                     float(rng.uniform(35.0, 75.0)),
                     float(rng.uniform(12_000.0, 25_000.0)))
             else:
-                farm_net = sb.FarmNetwork.empty()
-            with_net = sb.simulate_mission(p, aircraft, farm_net, chain)
-            without = sb.simulate_mission(p, aircraft, sb.FarmNetwork.empty(),
-                                          chain)
+                farm_net = link.FarmNetwork.empty()
+            with_net = mission.simulate_mission(p, aircraft, farm_net, chain)
+            without = mission.simulate_mission(p, aircraft, link.FarmNetwork.empty(),
+                                               chain)
             assert with_net.total_fuel_kg <= without.total_fuel_kg * (1 + 1e-12)
-            if sb.coverage_fraction(with_net) > 0.0:
+            if mission.coverage_fraction(with_net) > 0.0:
                 assert with_net.total_fuel_kg < without.total_fuel_kg
                 strict_cases += 1
         assert strict_cases > 0  # the sweep actually exercised coverage

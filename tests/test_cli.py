@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,7 @@ _TINY_CHAIN = {"chain": {"dc_to_rf": 1e-155, "rf_to_dc": 1e-155}}
     *[(command, _TINY_CHAIN, "chain.dc_to_rf") for command in ("link", "econ")],
     ("econ", {"econ": {"territory_area_km2": 1e308}}, "econ.territory_area_km2"),
     ("coverage", {"plan": {"speed": 1e-300}}, "plan.speed"),
+    ("econ", {"chain": {"incidence_cosine": 0, "rf_to_dc": 0}}, "chain.incidence_cosine"),
 ])
 def test_exit_code_for_inputs_that_used_to_escape(tmp_path, capsys, command, scenario,
                                                   field_path):
@@ -442,6 +445,19 @@ def test_econ_refuses_coverage_fractions_that_share_a_row_label(tmp_path, capsys
                    "6 significant digits\n")
 
 
+def test_econ_checks_the_row_labels_of_a_long_list_in_linear_time(tmp_path, capsys):
+    # 4e4 entries with distinct labels, each estimated, then the first again
+    coverage = [(i + 1) * 1e-5 for i in range(40_000)] + [1e-5]
+    path = _scenario_file(tmp_path, "a320_baseline", econ={"coverage_fraction": coverage})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "econ", "--scenario", path)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (4, "")
+    assert err == ("error: econ.coverage_fraction[40000]: has the row label _at_1e-05 of "
+                   "econ.coverage_fraction[0]; entries must differ in their first "
+                   "6 significant digits\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_econ_prints_one_row_set_per_coverage_fraction(tmp_path, capsys, fmt):
     coverage = [0.123456, 0.123457, 0.5]
@@ -587,29 +603,24 @@ def test_engine_commands_load_numpy(tmp_path, argv):
     assert _probe(tmp_path, *argv) == "exit 0 numpy True"
 
 
-# every name the package exported when it imported all of its modules up front
-_EXPORTED = """
-Aircraft ArrayLayout BeamCommand CostModel DegenerateGeometryError EfficiencyChain
-FarmAssignment FarmNetwork FarmNetworkEstimate FieldMap FlightPlan GratingLobeReport
-InvalidArgumentError JET_FUEL_SPECIFIC_ENERGY MissionTrace NearFieldWarning
-NoVisiblePanelError ObservationGrid ReceiverPanel ResolutionError RfSpec SPEED_OF_LIGHT
-STANDARD_GRAVITY Scenario ScenarioFileError ScenarioParseError ScenarioValidationError
-SkybeamError SpotReport Visibility airy_encircled_fraction airy_peak_density assign_farms
-beamed_cost beamed_cost_per_hour best_panel breakeven_efficiency coverage_fraction
-cruise_power default_panels delivered_power encircled_energy evaluate_field_fast
-farm_network_estimate farm_surface_density farm_visibility first_null_spot_diameter
-focus_command fuel_price_per_kg grating_lobe_margin level_attitude make_planar_array
-matched_element_spacing measure_first_null_radius mission_summary parse_scenario
-reflected_ground_density scenario_from_dict simulate_mission solve_focus_phases
-spot_report world_panels
-""".split()
+def test_the_package_exports_no_names():
+    # each name is imported from the module that defines it, never from skybeam
+    assert not {"__all__", "__getattr__", "simulate_mission"} & set(vars(skybeam))
 
 
-def test_every_export_resolves_to_its_definition():
-    assert sorted(skybeam.__all__) == sorted(_EXPORTED)
-    for name in _EXPORTED:
-        value = getattr(skybeam, name)
-        if hasattr(value, "__module__"):
-            assert getattr(sys.modules[value.__module__], name) is value
-    with pytest.raises(AttributeError):
-        skybeam.no_such_name
+def test_benchmark_tracer_wraps_and_counts_every_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in (["beam-map", "--scenario", "spot_scaled", "--grid-n", "21"],
+                     ["coverage", "--scenario", "a320_baseline"], ["spot"]):
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 0, argv
+    finally:
+        tracer.uninstall()
+    assert not tracer.errors
+    assert min(tracer.counters[c] for c in ("core.elements", "field.evals", "writer.map_rows",
+                                            "writer.trace_rows", "mission.step_farms")) > 0
+    spans_per_name = Counter(tracer.names[i] for i in tracer.name)
+    assert spans_per_name["mission.visibility"] > 0 and spans_per_name["link.best_panel"] > 0

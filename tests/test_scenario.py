@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-import skybeam as sb
-from skybeam import mission
+from skybeam import core, link, mission, scenario
 from skybeam.errors import (ScenarioFileError, ScenarioParseError,
                             ScenarioValidationError)
 from skybeam.scenario import (_FIELDS, _SECTIONS, MAX_MAGNITUDE, MAX_MISSION_STEPS,
@@ -22,7 +21,7 @@ def write(tmp_path, data):
 
 
 def test_minimal_scenario_gets_defaults(tmp_path):
-    scn = sb.parse_scenario(write(tmp_path, {"rf": {"frequency": 1e9}}))
+    scn = scenario.parse_scenario(write(tmp_path, {"rf": {"frequency": 1e9}}))
     assert scn.rf.frequency == 1e9
     assert scn.array.aperture_diameter == 1000.0
     assert scn.array.spacing == pytest.approx(0.5 * scn.rf.wavelength, rel=1e-12)
@@ -34,7 +33,7 @@ def test_minimal_scenario_gets_defaults(tmp_path):
 
 
 def test_empty_scenario_is_fully_defaulted(tmp_path):
-    scn = sb.parse_scenario(write(tmp_path, {}))
+    scn = scenario.parse_scenario(write(tmp_path, {}))
     assert scn.rf.wavelength == 0.1
     assert scn.beam.input_power == 100e6
     assert scn.safety.surface_density_limit == 100.0
@@ -43,43 +42,43 @@ def test_empty_scenario_is_fully_defaulted(tmp_path):
 def test_negative_mass_names_field(tmp_path):
     path = write(tmp_path, {"aircraft": {"mass": -5.0}})
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(path)
+        scenario.parse_scenario(path)
     assert err.value.field_path == "aircraft.mass"
 
 
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, {"array": {"diameter": 100.0}}))
+        scenario.parse_scenario(write(tmp_path, {"array": {"diameter": 100.0}}))
     assert "array.diameter" in str(err.value)
 
 
 def test_both_frequency_and_wavelength_rejected(tmp_path):
     with pytest.raises(ScenarioValidationError):
-        sb.parse_scenario(write(tmp_path, {"rf": {"frequency": 1e9,
-                                                  "wavelength": 0.3}}))
+        scenario.parse_scenario(write(tmp_path, {"rf": {"frequency": 1e9,
+                                                        "wavelength": 0.3}}))
 
 
 def test_bad_waypoint_names_index(tmp_path):
     data = {"plan": {"waypoints": [[0, 0, 10_000], [1, 2]]}}
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, data))
+        scenario.parse_scenario(write(tmp_path, data))
     assert "plan.waypoints[1]" in str(err.value)
 
 
 def test_missing_file_raises_file_error(tmp_path):
     with pytest.raises(ScenarioFileError):
-        sb.parse_scenario(tmp_path / "nope.json")
+        scenario.parse_scenario(tmp_path / "nope.json")
 
 
 def test_malformed_json_raises_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioParseError):
-        sb.parse_scenario(path)
+        scenario.parse_scenario(path)
 
 
 def test_bundled_baseline_loads():
-    scn = sb.parse_scenario("a320_baseline")
+    scn = scenario.parse_scenario("a320_baseline")
     assert scn.rf.wavelength == 0.1
     assert scn.array.aperture_diameter == 1000.0
     assert scn.beam.input_power == 100e6
@@ -89,11 +88,11 @@ def test_bundled_baseline_loads():
 
 
 def test_bundled_spot_scaled_loads():
-    scn = sb.parse_scenario("spot_scaled")
+    scn = scenario.parse_scenario("spot_scaled")
     assert scn.array.aperture_diameter == 50.0
     assert scn.array.spacing == 1.0
     assert scn.estimated_element_count() < 3000
-    full = sb.make_planar_array(scn.array.aperture_diameter, scn.array.spacing)
+    full = core.make_planar_array(scn.array.aperture_diameter, scn.array.spacing)
     assert 0.9 < scn.build_layout().n_active / full.n_active < 1.0
 
 
@@ -107,7 +106,7 @@ def test_custom_panels_parsed(tmp_path):
     data = {"aircraft": {"panels": [
         {"label": "underside", "normal": [0, 0, -1], "area": 30.0},
     ]}}
-    scn = sb.parse_scenario(write(tmp_path, data))
+    scn = scenario.parse_scenario(write(tmp_path, data))
     assert len(scn.aircraft.panels) == 1
     assert scn.aircraft.panels[0].area == 30.0
     assert scn.aircraft.panels[0].rf_to_dc == 0.85
@@ -117,7 +116,7 @@ def test_panel_validation_path(tmp_path):
     data = {"aircraft": {"panels": [{"label": "underside",
                                      "normal": [0, 0], "area": 30.0}]}}
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, data))
+        scenario.parse_scenario(write(tmp_path, data))
     assert "aircraft.panels[0]" in str(err.value)
 
 
@@ -125,18 +124,18 @@ def test_network_cap_list_must_match(tmp_path):
     data = {"network": {"farms": [[0.0, 0.0], [1000.0, 0.0]],
                         "input_cap": [1e6]}}
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, data))
+        scenario.parse_scenario(write(tmp_path, data))
     assert "network.input_cap" in str(err.value)
 
 
 def test_scan_angle_bounds(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, {"network": {"max_scan_deg": 95.0}}))
+        scenario.parse_scenario(write(tmp_path, {"network": {"max_scan_deg": 95.0}}))
     assert "network.max_scan_deg" in str(err.value)
 
 
 def test_radiated_power_uses_dc_to_rf(tmp_path):
-    scn = sb.parse_scenario(write(tmp_path, {}))
+    scn = scenario.parse_scenario(write(tmp_path, {}))
     assert scn.radiated_power() == pytest.approx(
         scn.beam.input_power * scn.chain.dc_to_rf, rel=1e-12)
 
@@ -155,7 +154,7 @@ def test_non_finite_numbers_rejected(tmp_path, literal, section, body, field_pat
     path = tmp_path / "scenario.json"
     path.write_text('{"%s": %s}' % (section, body % literal), encoding="utf-8")
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(path)
+        scenario.parse_scenario(path)
     assert err.value.field_path == field_path
 
 
@@ -166,11 +165,12 @@ def test_mission_step_cap_rejects_before_sampling(tmp_path, monkeypatch):
     monkeypatch.setattr(mission, "_sample_route", refuse)
     # the default 500 km route at 250 m/s lasts 2000 s
     with pytest.raises(ScenarioValidationError) as err:
-        sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-9}}))
+        scenario.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-9}}))
     assert err.value.field_path == "plan.timestep"
     with pytest.raises(ScenarioValidationError):
-        sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-320}}))
-    scn = sb.parse_scenario(write(tmp_path, {"plan": {"timestep": 2000.0 / MAX_MISSION_STEPS}}))
+        scenario.parse_scenario(write(tmp_path, {"plan": {"timestep": 1e-320}}))
+    scn = scenario.parse_scenario(
+        write(tmp_path, {"plan": {"timestep": 2000.0 / MAX_MISSION_STEPS}}))
     assert scn.plan.n_steps == MAX_MISSION_STEPS
 
 
@@ -181,17 +181,17 @@ def test_mission_step_cap_counts_the_sampled_steps(tmp_path):
     xy = np.vstack([[0.0, 0.0], np.column_stack([np.cumsum(rng.uniform(1e3, 5e4, 12)),
                                                  rng.uniform(-2e4, 2e4, 12)])])
     wps = np.column_stack([xy, np.full(13, 1e4)])
-    length = sb.FlightPlan(wps, 250.0).distance[-1]
+    length = link.FlightPlan(wps, 250.0).distance[-1]
     assert np.linalg.norm(np.diff(wps, axis=0), axis=1).sum() != length
     timestep = length / 250.0 / MAX_MISSION_STEPS
     for _ in range(3):
         timestep = math.nextafter(timestep, 0.0)
     accepted = []
     for _ in range(7):
-        steps = sb.FlightPlan(wps, 250.0, timestep).n_steps
+        steps = link.FlightPlan(wps, 250.0, timestep).n_steps
         try:
-            sb.parse_scenario(write(tmp_path, {"plan": {"waypoints": wps.tolist(),
-                                                        "timestep": timestep}}))
+            scenario.parse_scenario(write(tmp_path, {"plan": {"waypoints": wps.tolist(),
+                                                              "timestep": timestep}}))
         except ScenarioValidationError as err:
             assert err.field_path == "plan.timestep"
             accepted.append(False)
@@ -306,17 +306,17 @@ def with_field(path, value, extra):
                          ids=[f"{case[0]}={case[1]!r}" for case in BOUNDS])
 def test_field_bounds(path, outside, message, inside, extra):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict(with_field(path, outside, extra))
+        scenario.scenario_from_dict(with_field(path, outside, extra))
     assert err.value.field_path == path
     assert str(err.value) == f"{path}: {message}"
-    scn = sb.scenario_from_dict(with_field(path, inside, extra))
+    scn = scenario.scenario_from_dict(with_field(path, inside, extra))
     # the value is read back at its file path
     section, key = path.split(".")
     assert np.all(np.asarray(getattr(getattr(scn, section), key)) == inside)
 
 
 def test_every_field_is_read_at_its_file_path():
-    scn = sb.scenario_from_dict({})
+    scn = scenario.scenario_from_dict({})
     assert [f.name for f in dataclasses.fields(scn)] == list(_SECTIONS)
     for section, key, _, _ in _FIELDS:
         assert hasattr(getattr(scn, section), key), f"{section}.{key}"
@@ -335,7 +335,7 @@ def test_every_number_field_has_the_window(path):
     for value, message in ((ABOVE_CEILING, TOO_LARGE), (-ABOVE_CEILING, TOO_LARGE),
                            (BELOW_FLOOR, floor_message)):
         with pytest.raises(ScenarioValidationError) as err:
-            sb.scenario_from_dict(with_field(path, value, {}))
+            scenario.scenario_from_dict(with_field(path, value, {}))
         assert str(err.value) == f"{path}: {message}"
 
 
@@ -371,12 +371,12 @@ def panel(**fields):
 ])
 def test_list_entries_have_the_window(data, path, message):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict(data)
+        scenario.scenario_from_dict(data)
     assert str(err.value) == f"{path}: {message}"
 
 
 def test_list_entries_on_the_window_edges_parse():
-    scn = sb.scenario_from_dict({
+    scn = scenario.scenario_from_dict({
         "rf": {"wavelength": FLOOR},
         "beam": {"target": [CEILING, -CEILING, math.nextafter(FLOOR, 1.0)]},
         "network": {"farms": [[-CEILING, CEILING], [0, 0]], "input_cap": [FLOOR, 0.0]},
@@ -400,10 +400,10 @@ def test_scalar_field_types(path):
     expected = "must be an integer" if path in INTEGERS else "must be a number"
     for value in ("1", True, {"value": 1.0}):
         with pytest.raises(ScenarioValidationError) as err:
-            sb.scenario_from_dict(with_field(path, value, {}))
+            scenario.scenario_from_dict(with_field(path, value, {}))
         assert str(err.value) == f"{path}: {expected}"
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict(with_field(path, None, {}))
+        scenario.scenario_from_dict(with_field(path, None, {}))
     missing = "must be an integer" if path in INTEGERS else "is required"
     assert str(err.value) == f"{path}: {missing}"
 
@@ -430,7 +430,7 @@ def test_scalar_field_types(path):
 ])
 def test_check_order(data, path):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict(data)
+        scenario.scenario_from_dict(data)
     assert err.value.field_path == path
 
 
@@ -442,7 +442,7 @@ def test_check_order(data, path):
 ])
 def test_repeated_waypoint_rejected(waypoints, path):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+        scenario.scenario_from_dict({"plan": {"waypoints": waypoints}})
     assert str(err.value) == f"{path}: must differ from the previous waypoint"
 
 
@@ -453,15 +453,15 @@ def test_repeated_waypoint_rejected(waypoints, path):
 ])
 def test_vertical_segment_rejected(waypoints, path):
     with pytest.raises(ScenarioValidationError) as err:
-        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+        scenario.scenario_from_dict({"plan": {"waypoints": waypoints}})
     assert str(err.value) == (f"{path}: must not be straight above or below "
                               "the previous waypoint")
 
 
 def test_nearly_vertical_segment_accepted():
     # the smallest horizontal step level_attitude accepts as a heading
-    sb.scenario_from_dict({"plan": {"waypoints": [[0, 0, 1e4], [1e-12, 0, 2e4],
-                                                  [1e5, 0, 1e4]]}})
+    scenario.scenario_from_dict({"plan": {"waypoints": [[0, 0, 1e4], [1e-12, 0, 2e4],
+                                                        [1e5, 0, 1e4]]}})
 
 
 def _numpy_length(v) -> float:
@@ -478,7 +478,7 @@ def test_short_segment_is_judged_as_numpy_judged_it(dx):
         expected = ("must differ from the previous waypoint" if _numpy_length(delta) <= 0.0
                     else "must not be straight above or below the previous waypoint")
         with pytest.raises(ScenarioValidationError) as err:
-            sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+            scenario.scenario_from_dict({"plan": {"waypoints": waypoints}})
         assert str(err.value) == f"plan.waypoints[1]: {expected}"
 
 
@@ -495,7 +495,7 @@ def test_heading_bound_is_numpys(dx):
     waypoints = [[0.0, 0.0, 1e4], [dx, 0.0, 2e4], [1e5, 0.0, 1e4]]
     refused = not _numpy_length([dx, 0.0, 0.0]) >= 1e-12
     try:
-        sb.scenario_from_dict({"plan": {"waypoints": waypoints}})
+        scenario.scenario_from_dict({"plan": {"waypoints": waypoints}})
     except ScenarioValidationError as err:
         assert refused and err.field_path == "plan.waypoints[1]"
     else:
@@ -507,7 +507,7 @@ def test_normal_floor_is_numpys(length):
     refused = _numpy_length([0.0, length, 0.0]) < MIN_MAGNITUDE
     data = {"aircraft": {"panels": [panel(normal=[0.0, length, 0.0])]}}
     try:
-        scn = sb.scenario_from_dict(data)
+        scn = scenario.scenario_from_dict(data)
     except ScenarioValidationError as err:
         assert refused and str(err) == f"aircraft.panels[0].normal: {TOO_SMALL}"
     else:
@@ -519,7 +519,7 @@ def test_file_normals_keep_numpys_bits():
     # the unit normal of a file-given panel is numpy's division, bit for bit
     rng = np.random.default_rng(3)
     normals = (rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-8, 14, (50, 1))).tolist()
-    scn = sb.scenario_from_dict({"aircraft": {"panels": [panel(normal=n) for n in normals]}})
+    scn = scenario.scenario_from_dict({"aircraft": {"panels": [panel(normal=n) for n in normals]}})
     for got, normal in zip(scn.aircraft.panels, normals):
         want = np.asarray(normal) / np.linalg.norm(normal)
         assert [x.hex() for x in got.normal] == [x.hex() for x in want.tolist()]

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-import skybeam as sb
+from skybeam import field, mission
 from skybeam.link import PANEL_LABELS
 from skybeam.scenario import parse_scenario
 
@@ -50,42 +50,42 @@ def assert_same_bytes(write, oracle, obj, tmp_path):
 
 
 def _trace(scn):
-    return sb.simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
+    return mission.simulate_mission(scn.plan, scn.aircraft, scn.network, scn.chain)
 
 
 @pytest.mark.parametrize("name", ["a320_baseline", "spot_scaled"])
 def test_trace_csv_matches_oracle_on_bundled_scenarios(tmp_path, name):
     trace = _trace(parse_scenario(name))
     assert trace.n_steps > 100
-    assert_same_bytes(sb.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
+    assert_same_bytes(mission.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
 
 
 def test_map_csv_matches_oracle_on_bundled_scenario(tmp_path):
     scn = parse_scenario("spot_scaled")
     layout = scn.build_layout()
-    cmd = sb.focus_command(layout, scn.rf, scn.beam.target, scn.radiated_power())
-    grid = sb.ObservationGrid.horizontal(scn.beam.target, 41, scn.output.map_window)
-    fmap = sb.evaluate_field_fast(layout, scn.rf, cmd, grid)
-    assert_same_bytes(sb.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
+    cmd = field.focus_command(layout, scn.rf, scn.beam.target, scn.radiated_power())
+    grid = field.ObservationGrid.horizontal(scn.beam.target, 41, scn.output.map_window)
+    fmap = field.evaluate_field_fast(layout, scn.rf, cmd, grid)
+    assert_same_bytes(field.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
 
 
 def test_map_csv_matches_oracle_on_odd_cells(tmp_path):
     n = 7
-    grid = sb.ObservationGrid.horizontal([1e16, -0.0, 1e-05], n, 3e-5)
+    grid = field.ObservationGrid.horizontal([1e16, -0.0, 1e-05], n, 3e-5)
     dens = np.resize(np.array([abs(v) if v == v else v for v in ODD_FLOATS]), n * n)
     dens[3] = -0.0
-    fmap = sb.FieldMap(grid, np.sqrt(np.abs(dens)).astype(complex).reshape(n, n),
-                       dens.reshape(n, n))
-    assert_same_bytes(sb.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
+    fmap = field.FieldMap(grid, np.sqrt(np.abs(dens)).astype(complex).reshape(n, n),
+                          dens.reshape(n, n))
+    assert_same_bytes(field.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
 
 
 def test_map_csv_matches_oracle_past_one_slice(tmp_path):
     # more rows than any sensible slice, so slice boundaries are crossed
     n = 301
-    grid = sb.ObservationGrid.horizontal([0.5, -3.0, 120.0], n, 7.0)
+    grid = field.ObservationGrid.horizontal([0.5, -3.0, 120.0], n, 7.0)
     dens = np.random.default_rng(3).random((n, n)) * 1e3
-    fmap = sb.FieldMap(grid, np.sqrt(dens).astype(complex), dens)
-    assert_same_bytes(sb.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
+    fmap = field.FieldMap(grid, np.sqrt(dens).astype(complex), dens)
+    assert_same_bytes(field.FieldMap.to_csv, oracle_map_csv, fmap, tmp_path)
 
 
 def test_trace_csv_matches_oracle_on_odd_cells(tmp_path):
@@ -96,7 +96,7 @@ def test_trace_csv_matches_oracle_on_odd_cells(tmp_path):
     def shifted(k):
         return np.roll(col, k)
 
-    trace = sb.MissionTrace(
+    trace = mission.MissionTrace(
         times=shifted(0), weights=np.ones(n), positions=np.column_stack(
             [shifted(1), shifted(2), shifted(3)]),
         farm_index=np.resize(np.array([-1, 0, 7, 12345]), n),
@@ -105,12 +105,12 @@ def test_trace_csv_matches_oracle_on_odd_cells(tmp_path):
         required_w=shifted(7), delivered_w=shifted(8), fuel_rate_kg_s=shifted(9),
         fuel_kg=shifted(10), fuel_chain_efficiency=0.3,
         reference_power_w=1e7)
-    assert_same_bytes(sb.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
+    assert_same_bytes(mission.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
 
 
 def test_empty_trace_writes_only_the_header(tmp_path):
     empty = np.zeros(0)
-    trace = sb.MissionTrace(empty, empty, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                            empty, empty, [], empty, empty, empty, empty, empty,
-                            0.3, 1e7)
-    assert_same_bytes(sb.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
+    trace = mission.MissionTrace(empty, empty, np.zeros((0, 3)), np.zeros(0, dtype=int),
+                                 empty, empty, [], empty, empty, empty, empty, empty,
+                                 0.3, 1e7)
+    assert_same_bytes(mission.MissionTrace.to_csv, oracle_trace_csv, trace, tmp_path)
